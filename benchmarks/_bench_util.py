@@ -16,12 +16,12 @@ next to the per-bench rows so one artifact tells the whole perf story::
 
 ``--gate N --baseline <committed BENCH_N.json>`` is the perf-regression
 gate: it compares the freshly generated ``benchmarks/out/BENCH_N.json``
-against the committed baseline and exits non-zero when the vectorized
-path regressed by more than ``--max-regression`` (default 25%).  The
-comparison is on each cell's *relative* wall clock — ``vector_s /
-serial_s``, both measured in the same job — so a slower CI runner
-cannot fail the gate, but a genuinely slower vectorized path (relative
-to the serial loop it replaced) does::
+against the committed baseline and exits non-zero when any gated wall
+clock regressed by more than ``--max-regression`` (default 25%).  Every
+timing is first divided by ``calib_s``, the wall clock of a fixed
+calibration kernel (:func:`calibration_seconds`) measured in the same
+job, so a slower CI runner cannot fail the gate, but a genuinely slower
+code path — serial or vectorized — does::
 
     PYTHONPATH=src python benchmarks/_bench_util.py --gate 10 \\
         --baseline /tmp/BENCH_10.baseline.json
@@ -33,11 +33,17 @@ import argparse
 import json
 import re
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 OUT_DIR = Path(__file__).parent / "out"
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
+
+#: the timing keys :func:`gate_regressions` gates in every bench row
+GATED_KEYS = ("serial_s", "vector_s")
 
 
 def write_bench_json(row: dict, name: str) -> Path:
@@ -79,15 +85,34 @@ def collect_trajectory(out_dir: Path = OUT_DIR) -> dict:
     }
 
 
+def calibration_seconds(iters: int = 2000) -> float:
+    """Wall clock of one pass of a fixed numpy calibration kernel.
+
+    One iteration is a 64x64 float32 GEMM plus a transposed copy of the
+    product, the size of the simulator's per-step kernels, so the
+    calibration tracks both BLAS throughput and per-call interpreter
+    overhead, the two costs the bench cells are made of.  Callers take
+    the best of several passes interleaved with what they time.
+    """
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((64, 64)).astype(np.float32)
+    b = rng.standard_normal((64, 64)).astype(np.float32)
+    out = np.empty_like(a)
+    t0 = time.perf_counter()
+    for _ in range(iters):
+        np.copyto(out, (a @ b).T)
+    return time.perf_counter() - t0
+
+
 def gate_regressions(
     fresh: dict, baseline: dict, max_regression: float = 0.25
 ) -> list[str]:
     """Perf-gate comparison of a fresh bench row against its baseline.
 
-    For every cell in the baseline's ``rows``, the gated statistic is the
-    vectorized path's wall clock *relative to the serial loop measured in
-    the same job* (``vector_s / serial_s``) — machine-speed-independent,
-    so only a real slowdown of the vectorized path can trip it.
+    For every cell in the baseline's ``rows``, each :data:`GATED_KEYS`
+    wall clock is divided by the row's in-job ``calib_s`` and compared
+    against the baseline's calibrated value — machine-speed-independent,
+    so only a real slowdown of that code path can trip it.
 
     Args:
         fresh: the just-generated ``BENCH_N.json`` record.
@@ -102,24 +127,30 @@ def gate_regressions(
     fresh_rows = fresh.get("rows", {})
     if not base_rows:
         return ["baseline has no 'rows' to gate against"]
+    try:
+        base_calib = float(baseline["calib_s"])
+        fresh_calib = float(fresh["calib_s"])
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"missing calibration timing 'calib_s' ({exc!r})"]
     for cell, base in base_rows.items():
         row = fresh_rows.get(cell)
         if row is None:
             failures.append(f"{cell}: present in baseline, missing from fresh bench")
             continue
-        try:
-            base_rel = float(base["vector_s"]) / float(base["serial_s"])
-            fresh_rel = float(row["vector_s"]) / float(row["serial_s"])
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
-            failures.append(f"{cell}: malformed timing row ({exc!r})")
-            continue
-        limit = (1.0 + max_regression) * base_rel
-        if fresh_rel > limit:
-            failures.append(
-                f"{cell}: vector/serial wall-clock ratio {fresh_rel:.3f} "
-                f"exceeds baseline {base_rel:.3f} by more than "
-                f"{max_regression:.0%} (limit {limit:.3f})"
-            )
+        for key in GATED_KEYS:
+            try:
+                base_rel = float(base[key]) / base_calib
+                fresh_rel = float(row[key]) / fresh_calib
+            except (KeyError, TypeError, ZeroDivisionError) as exc:
+                failures.append(f"{cell}: malformed timing row ({exc!r})")
+                continue
+            limit = (1.0 + max_regression) * base_rel
+            if fresh_rel > limit:
+                failures.append(
+                    f"{cell}: {key}/calib_s {fresh_rel:.3f} exceeds baseline "
+                    f"{base_rel:.3f} by more than {max_regression:.0%} "
+                    f"(limit {limit:.3f})"
+                )
     return failures
 
 
@@ -139,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-regression", type=float, default=0.25,
-        help="allowed fractional slowdown of the vectorized path (default 0.25)",
+        help="allowed fractional slowdown of each gated path (default 0.25)",
     )
     args = parser.parse_args(argv)
     if args.gate is not None:

@@ -86,6 +86,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -469,14 +470,17 @@ class CohortRunner(ExecutionBackend):
         # ``workers`` is the backend family's shared knob; this backend
         # has no pool and accepts it only for constructor uniformity.
         del workers
-        self._algo_id: int | None = None
+        self._algo_ref: weakref.ref | None = None
         self._cohorts: dict[int, CohortModel] = {}
         self._probe: tuple[bool, bool] | None = None
 
     # -- plumbing ----------------------------------------------------------
     def _reset_for(self, algorithm: "FederatedAlgorithm") -> None:
-        if self._algo_id != id(algorithm):
-            self._algo_id = id(algorithm)
+        # Keyed on a weak reference, not id(): a collected algorithm's id
+        # can be reused by the next run, which would inherit its cohort
+        # models (built for a different architecture).
+        if self._algo_ref is None or self._algo_ref() is not algorithm:
+            self._algo_ref = weakref.ref(algorithm)
             self._cohorts = {}
             self._probe = None
 

@@ -49,7 +49,7 @@ def grad_on_batch(
     model.zero_grad()
     logits = model.forward(x, train=True)
     loss, dlogits = softmax_cross_entropy(logits, y)
-    model.backward(dlogits)
+    model.backward(dlogits, need_input_grad=False)
     return flatten_grads(model), loss
 
 
@@ -106,7 +106,7 @@ def local_sgd(
             model.zero_grad()
             logits = model.forward(x[batch], train=True)
             loss, dlogits = softmax_cross_entropy(logits, y[batch])
-            model.backward(dlogits)
+            model.backward(dlogits, need_input_grad=False)
             opt.step()
             total_loss += loss
             steps += 1
@@ -153,7 +153,7 @@ def local_sgd_many(
             model.zero_grad()
             logits = model.forward(x[rows, idx], train=True)
             losses, dlogits = softmax_cross_entropy_many(logits, y[rows, idx])
-            model.backward(dlogits)
+            model.backward(dlogits, need_input_grad=False)
             opt.step()
             total_loss += losses
             steps += 1

@@ -1,21 +1,28 @@
-"""Vectorized im2col / col2im kernels for convolution and pooling.
+"""Strided-slice im2col / col2im kernels for convolution and pooling.
 
-These are the hot paths of the framework: everything is expressed as fancy
-indexing plus one GEMM, with no Python-level loops over the batch or spatial
-dimensions (per the HPC guides: vectorize, broadcast, reuse buffers).
+A convolution is one GEMM against patch columns.  Both the serial
+:func:`im2col`/:func:`col2im` pair and the cohort-batched
+:class:`CohortConvWorkspace` build those columns with the same loop,
+:func:`_kernel_windows`: one strided slice per kernel offset ``(fi, fj)``,
+copied into the columns (gather) or added back into the input gradient
+(scatter).  That is ``fh*fw`` vectorized slice operations per call, with
+no Python loop over the batch or spatial dimensions and no index arrays.
+
+The scatter visits kernel offsets in ``(fi, fj)``-major order, the order
+in which ``np.add.at`` over the ``(channel, fi, fj)`` patch axis would
+accumulate overlapping windows, so its result is bitwise that scatter's.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "conv_output_size",
-    "im2col_indices",
     "im2col",
     "col2im",
-    "Im2colPlan",
-    "im2col_plan",
     "CohortConvWorkspace",
 ]
 
@@ -31,87 +38,44 @@ def conv_output_size(size: int, field: int, stride: int, pad: int) -> int:
     return out
 
 
-def im2col_indices(
-    x_shape: tuple[int, int, int, int], field_h: int, field_w: int, stride: int, pad: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (k, i, j) that gather conv patches from a padded input.
+def _kernel_windows(
+    field_h: int, field_w: int, stride: int, out_h: int, out_w: int
+) -> Iterator[tuple[int, int, slice, slice]]:
+    """The strided window of every kernel offset, in ``(fi, fj)``-major order.
 
-    Returned arrays address a padded ``(N, C, H+2p, W+2p)`` tensor such that
-    ``x_pad[:, k, i, j]`` has shape ``(N, C*fh*fw, out_h*out_w)``.
+    Yields ``(fi, fj, rows, cols)``: indexing a padded input's spatial axes
+    with ``[rows, cols]`` selects the ``(out_h, out_w)`` input cells that
+    kernel offset ``(fi, fj)`` touches across all output positions.
     """
-    _, c, h, w = x_shape
-    out_h = conv_output_size(h, field_h, stride, pad)
-    out_w = conv_output_size(w, field_w, stride, pad)
-
-    i0 = np.repeat(np.arange(field_h), field_w)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(field_w), field_h * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), field_h * field_w).reshape(-1, 1)
-    return k, i, j
-
-
-class Im2colPlan:
-    """Immutable gather-index workspace for one ``(C, H, W, kernel)`` key.
-
-    The ``(k, i, j)`` arrays (and the derived flat offsets) depend only on
-    the spatial geometry, never on the batch size or the data, so one plan
-    serves every im2col/col2im call with that geometry.  Plans are cached by
-    :func:`im2col_plan`; being pure integer indices they are safe to share
-    across threads.
-    """
-
-    __slots__ = ("k", "i", "j", "out_h", "out_w", "padded_hw")
-
-    def __init__(
-        self, channels: int, h: int, w: int, field_h: int, field_w: int,
-        stride: int, pad: int,
-    ):
-        self.out_h = conv_output_size(h, field_h, stride, pad)
-        self.out_w = conv_output_size(w, field_w, stride, pad)
-        self.k, self.i, self.j = im2col_indices(
-            (1, channels, h, w), field_h, field_w, stride, pad
-        )
-        self.padded_hw = (h + 2 * pad, w + 2 * pad)
-
-
-#: plan cache keyed by the full geometry tuple; bounded so sweeps over many
-#: input sizes cannot grow it without limit
-_PLAN_CACHE: dict[tuple, Im2colPlan] = {}
-_PLAN_CACHE_MAX = 128
-
-
-def im2col_plan(
-    channels: int, h: int, w: int, field_h: int, field_w: int, stride: int, pad: int
-) -> Im2colPlan:
-    """The cached :class:`Im2colPlan` for one conv/pool geometry.
-
-    Repeated calls with the same key return the *same object* (no per-call
-    index recomputation or reallocation — asserted by the workspace-reuse
-    tests).
-    """
-    key = (channels, h, w, field_h, field_w, stride, pad)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        plan = Im2colPlan(channels, h, w, field_h, field_w, stride, pad)
-        _PLAN_CACHE[key] = plan
-    return plan
+    for fi in range(field_h):
+        rows = slice(fi, fi + stride * out_h, stride)
+        for fj in range(field_w):
+            yield fi, fj, rows, slice(fj, fj + stride * out_w, stride)
 
 
 def im2col(x: np.ndarray, field_h: int, field_w: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into patch columns ``(C*fh*fw, N*out_h*out_w)``."""
+    """Unfold ``(N, C, H, W)`` into patch columns ``(C*fh*fw, out_h*out_w*N)``.
+
+    Rows are channel-major then ``(fi, fj)`` row-major; columns run over
+    ``(out_h, out_w, N)`` with the sample index fastest.
+    """
     if x.ndim != 4:
         raise ValueError(f"im2col expects NCHW input, got shape {x.shape}")
+    n, c, h, w = x.shape
     p = pad
-    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="constant") if p > 0 else x
-    plan = im2col_plan(x.shape[1], x.shape[2], x.shape[3], field_h, field_w, stride, pad)
-    cols = x_pad[:, plan.k, plan.i, plan.j]  # (N, C*fh*fw, L)
-    return cols.transpose(1, 2, 0).reshape(field_h * field_w * x.shape[1], -1)
+    oh = conv_output_size(h, field_h, stride, p)
+    ow = conv_output_size(w, field_w, stride, p)
+    # Stage the input sample-last, (C, H+2p, W+2p, N), so every window
+    # copy below moves unit-stride runs of N values.
+    if p > 0:
+        xt = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
+        xt[:, p : p + h, p : p + w] = x.transpose(1, 2, 3, 0)
+    else:
+        xt = x.transpose(1, 2, 3, 0)
+    cols = np.empty((c, field_h, field_w, oh, ow, n), dtype=x.dtype)
+    for fi, fj, rows, cs in _kernel_windows(field_h, field_w, stride, oh, ow):
+        cols[:, fi, fj] = xt[:, rows, cs]
+    return cols.reshape(c * field_h * field_w, oh * ow * n)
 
 
 def col2im(
@@ -122,17 +86,17 @@ def col2im(
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Fold patch columns back into an ``(N, C, H, W)`` gradient (adjoint of im2col)."""
+    """Fold patch columns back into an ``(N, C, H, W)`` gradient (adjoint of
+    :func:`im2col`); overlapping windows accumulate."""
     n, c, h, w = x_shape
     p = pad
-    x_pad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
-    plan = im2col_plan(c, h, w, field_h, field_w, stride, pad)
-    cols_reshaped = cols.reshape(c * field_h * field_w, -1, n).transpose(2, 0, 1)
-    # Scatter-add: overlapping patches accumulate.
-    np.add.at(x_pad, (slice(None), plan.k, plan.i, plan.j), cols_reshaped)
-    if p == 0:
-        return x_pad
-    return x_pad[:, :, p:-p, p:-p]
+    oh = conv_output_size(h, field_h, stride, p)
+    ow = conv_output_size(w, field_w, stride, p)
+    d6 = cols.reshape(c, field_h, field_w, oh, ow, n)
+    buf = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=cols.dtype)
+    for fi, fj, rows, cs in _kernel_windows(field_h, field_w, stride, oh, ow):
+        buf[:, rows, cs] += d6[:, fi, fj]
+    return np.ascontiguousarray(buf[:, p : p + h, p : p + w].transpose(3, 0, 1, 2))
 
 
 class CohortConvWorkspace:
@@ -165,19 +129,18 @@ class CohortConvWorkspace:
         self.pad = int(pad)
         self.stride = int(stride)
         self.field = (int(field_h), int(field_w))
-        self.plan = im2col_plan(ch, h, w, field_h, field_w, stride, pad)
-        hp, wp = self.plan.padded_hw
-        ckk = ch * field_h * field_w
-        self.patch_len = ckk
-        self.out_len = self.plan.out_h * self.plan.out_w
-        lcols = self.out_len
+        self.out_h = conv_output_size(h, field_h, stride, pad)
+        self.out_w = conv_output_size(w, field_w, stride, pad)
+        hp, wp = h + 2 * pad, w + 2 * pad
+        self.patch_len = ch * field_h * field_w
+        self.out_len = self.out_h * self.out_w
         #: zero-padded input staging buffer (None when pad == 0: the raw
-        #: input is indexed directly, no copy)
+        #: input is sliced directly, no copy)
         self._pad_buf = (
             np.zeros((c, n, ch, hp, wp), dtype=self.dtype) if pad > 0 else None
         )
         #: GEMM-ready columns (C, ckk, N, L); viewed as (C, ckk, N*L)
-        self._cols = np.empty((c, ckk, n, lcols), dtype=self.dtype)
+        self._cols = np.empty((c, self.patch_len, n, self.out_len), dtype=self.dtype)
         #: backward scatter target (C, N, ch, H+2p, W+2p)
         self._dx_pad = np.empty((c, n, ch, hp, wp), dtype=self.dtype)
 
@@ -190,24 +153,16 @@ class CohortConvWorkspace:
         """
         c, n, ch, h, w = self.shape
         p = self.pad
-        s = self.stride
-        fh, fw = self.field
-        oh, ow = self.plan.out_h, self.plan.out_w
         if p > 0:
             self._pad_buf[:, :, :, p:-p, p:-p] = x
             xp = self._pad_buf
         else:
             xp = x
-        # Strided slice-copies instead of one fancy-index take: pure copies
-        # straight into the GEMM-ready columns buffer (bitwise-identical
-        # result), one (fi, fj) pass per kernel offset with no intermediate
-        # patch staging.
-        c7 = self._cols.reshape(c, ch, fh, fw, n, oh, ow)
-        for fi in range(fh):
-            for fj in range(fw):
-                c7[:, :, fi, fj] = xp[
-                    :, :, :, fi : fi + s * oh : s, fj : fj + s * ow : s
-                ].transpose(0, 2, 1, 3, 4)
+        c7 = self._cols.reshape(c, ch, *self.field, n, self.out_h, self.out_w)
+        for fi, fj, rows, cs in _kernel_windows(
+            *self.field, self.stride, self.out_h, self.out_w
+        ):
+            c7[:, :, fi, fj] = xp[..., rows, cs].transpose(0, 2, 1, 3, 4)
         return self._cols.reshape(c, self.patch_len, n * self.out_len)
 
     def scatter(self, dcols: np.ndarray) -> np.ndarray:
@@ -219,27 +174,18 @@ class CohortConvWorkspace:
         """
         c, n, ch, h, w = self.shape
         p = self.pad
-        s = self.stride
-        fh, fw = self.field
-        oh, ow = self.plan.out_h, self.plan.out_w
         buf = self._dx_pad
         buf.fill(0.0)
-        # (C, ckk, N*L) -> (C, N, ch, fh, fw, oh, ow): the patch axis is
-        # channel-major then (fi, fj) row-major (im2col_indices layout).
-        # One contiguous copy up front keeps the per-offset adds below on
-        # unit-stride sources.
+        # (C, ckk, N*L) -> (C, N, ch, fh, fw, oh, ow) in one contiguous copy
+        # up front, so the per-offset adds below read unit-stride sources.
         d7 = np.ascontiguousarray(
-            dcols.reshape(c, ch, fh, fw, n, oh, ow).transpose(0, 4, 1, 2, 3, 5, 6)
+            dcols.reshape(c, ch, *self.field, n, self.out_h, self.out_w)
+            .transpose(0, 4, 1, 2, 3, 5, 6)
         )
-        # Strided slice-adds instead of np.add.at: each (fi, fj) pass hits
-        # every target element at most once, and passes run in the same
-        # (fi, fj)-major order the fancy-index scatter would accumulate in,
-        # so the result is bitwise np.add.at's at a fraction of the cost.
-        for fi in range(fh):
-            for fj in range(fw):
-                buf[:, :, :, fi : fi + s * oh : s, fj : fj + s * ow : s] += (
-                    d7[:, :, :, fi, fj]
-                )
+        for fi, fj, rows, cs in _kernel_windows(
+            *self.field, self.stride, self.out_h, self.out_w
+        ):
+            buf[..., rows, cs] += d7[:, :, :, fi, fj]
         if p == 0:
             return buf.copy()
         return buf[:, :, :, p:-p, p:-p].copy()

@@ -63,6 +63,16 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def backward_params_only(self, dout: np.ndarray) -> None:
+        """Accumulate parameter gradients without computing dx.
+
+        Used for the *first* layer of a model, whose input gradient nobody
+        consumes; the serial counterpart of
+        :meth:`backward_many_params_only`.  Parameter gradients are bitwise
+        identical to :meth:`backward`'s.
+        """
+        self.backward(dout)
+
     def state(self) -> dict[str, np.ndarray]:
         """Non-trainable buffers (e.g. batch-norm running stats)."""
         return {}
@@ -273,7 +283,7 @@ class Conv2d(Layer):
         cols = ws.gather(x)  # (C, ch*k*k, N*L) — workspace-owned buffer
         w_mat = self.w.many.reshape(c, self.out_channels, -1)
         out = np.matmul(w_mat, cols) + self.b.many[:, :, None]
-        out = out.reshape(c, self.out_channels, n, ws.plan.out_h, ws.plan.out_w)
+        out = out.reshape(c, self.out_channels, n, ws.out_h, ws.out_w)
         out = np.ascontiguousarray(out.transpose(0, 2, 1, 3, 4))
         if train:
             # cols lives in the workspace (overwritten by the next gather of
@@ -283,36 +293,31 @@ class Conv2d(Layer):
             self._many_cache = None
         return out
 
-    def backward_many(self, dout: np.ndarray) -> np.ndarray:
+    def _param_grads_many(self, dout: np.ndarray) -> np.ndarray:
+        """Accumulate cohort weight/bias gradients; returns ``dout`` as the
+        ``(C, out_ch, N*L)`` GEMM operand."""
         if self._many_cache is None:
             raise RuntimeError("backward called before a training forward pass")
-        cols, ws, x_shape = self._many_cache
-        c, n = dout.shape[:2]
+        cols = self._many_cache[0]
         dout_mat = np.ascontiguousarray(dout.transpose(0, 2, 1, 3, 4)).reshape(
-            c, self.out_channels, -1
+            dout.shape[0], self.out_channels, -1
         )
         self.b.grad_many += dout_mat.sum(axis=2)
         self.w.grad_many += np.matmul(
             dout_mat, cols.transpose(0, 2, 1)
         ).reshape(self.w.grad_many.shape)
-        w_mat = self.w.many.reshape(c, self.out_channels, -1)
-        dcols = np.matmul(w_mat.transpose(0, 2, 1), dout_mat)
-        return ws.scatter(dcols)
+        return dout_mat
+
+    def backward_many(self, dout: np.ndarray) -> np.ndarray:
+        dout_mat = self._param_grads_many(dout)
+        ws = self._many_cache[1]
+        w_mat = self.w.many.reshape(dout.shape[0], self.out_channels, -1)
+        return ws.scatter(np.matmul(w_mat.transpose(0, 2, 1), dout_mat))
 
     def backward_many_params_only(self, dout: np.ndarray) -> None:
-        # Skip dcols + the col2im scatter entirely: for a first layer the
-        # input gradient is dead, and the scatter dominates backward cost.
-        if self._many_cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        cols, _ws, _shape = self._many_cache
-        c, n = dout.shape[:2]
-        dout_mat = np.ascontiguousarray(dout.transpose(0, 2, 1, 3, 4)).reshape(
-            c, self.out_channels, -1
-        )
-        self.b.grad_many += dout_mat.sum(axis=2)
-        self.w.grad_many += np.matmul(
-            dout_mat, cols.transpose(0, 2, 1)
-        ).reshape(self.w.grad_many.shape)
+        # Skip dcols + the scatter entirely: for a first layer the input
+        # gradient is dead, and the scatter dominates backward cost.
+        self._param_grads_many(dout)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -335,16 +340,25 @@ class Conv2d(Layer):
             self._x_shape = None
         return np.ascontiguousarray(out)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def _param_grads(self, dout: np.ndarray) -> np.ndarray:
+        """Accumulate weight/bias gradients; returns ``dout`` as the
+        ``(out_ch, L*N)`` GEMM operand."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before a training forward pass")
         dout_mat = dout.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
         self.b.grad += dout_mat.sum(axis=1)
         self.w.grad += (dout_mat @ self._cols.T).reshape(self.w.data.shape)
+        return dout_mat
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        dout_mat = self._param_grads(dout)
         w_mat = self.w.data.reshape(self.out_channels, -1)
-        dcols = w_mat.T @ dout_mat
         k = self.kernel_size
-        return col2im(dcols, self._x_shape, k, k, self.stride, self.pad)
+        return col2im(w_mat.T @ dout_mat, self._x_shape, k, k, self.stride, self.pad)
+
+    def backward_params_only(self, dout: np.ndarray) -> None:
+        # Skip dcols + col2im: a first layer's input gradient is dead.
+        self._param_grads(dout)
 
     def __repr__(self) -> str:
         return (
@@ -388,21 +402,8 @@ class MaxPool2d(Layer):
         k, s = self.size, self.stride
         oh, ow = dout.shape[2], dout.shape[3]
         dcols = np.zeros(cols_shape, dtype=dout.dtype)
-        dout_flat = dout.reshape(n * c, -1).reshape(n * c, oh, ow)
-        dout_cols = dout_flat.transpose(1, 2, 0).reshape(-1)
+        dout_cols = dout.reshape(n * c, oh, ow).transpose(1, 2, 0).reshape(-1)
         dcols[argmax, np.arange(cols_shape[1])] = dout_cols
-        if s >= k:
-            # Non-overlapping windows: every input cell receives at most
-            # one gradient, so the col2im scatter-add over zeros is a pure
-            # strided assignment (bitwise identical, no np.add.at).
-            dx = np.zeros((n * c, h, w), dtype=dout.dtype)
-            d5 = dcols.reshape(k, k, oh, ow, n * c)
-            for fi in range(k):
-                for fj in range(k):
-                    dx[:, fi : fi + s * oh : s, fj : fj + s * ow : s] = (
-                        d5[fi, fj].transpose(2, 0, 1)
-                    )
-            return dx.reshape(n, c, h, w)
         dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)
         return dx.reshape(n, c, h, w)
 

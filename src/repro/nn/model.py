@@ -162,11 +162,24 @@ class Sequential:
             out = layer.forward(out, train)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dout: np.ndarray, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backpropagate ``dout``, accumulating every parameter gradient.
+
+        Returns the gradient w.r.t. the model input.  Training loops that
+        discard it pass ``need_input_grad=False``: the first layer then
+        accumulates parameter gradients only and skips its dx (for a
+        convolution, the col2im scatter), and None is returned.  Parameter
+        gradients are bitwise identical either way.
+        """
         grad = dout
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        if need_input_grad:
+            return self.layers[0].backward(grad)
+        self.layers[0].backward_params_only(grad)
+        return None
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Evaluation-mode forward in batches; returns logits."""
@@ -285,10 +298,8 @@ class CohortModel:
         layers = self.template.layers
         for layer in reversed(layers[1:]):
             grad = layer.backward_many(grad)
-        if need_input_grad or not layers:
-            if layers:
-                grad = layers[0].backward_many(grad)
-            return grad
+        if need_input_grad:
+            return layers[0].backward_many(grad)
         layers[0].backward_many_params_only(grad)
         return None
 

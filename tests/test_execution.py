@@ -381,6 +381,32 @@ class TestVectorBackendEquivalence:
         np.testing.assert_array_equal(hs.accuracies, hv.accuracies)
         np.testing.assert_array_equal(hs.losses, hv.losses)
 
+    def test_runner_reset_survives_id_reuse(self, fed, monkeypatch):
+        """One runner serving two algorithms with different models must
+        never hand the second the first's cohort models, even when the
+        two share an ``id()`` (CPython reuses a collected object's id)."""
+        import repro.fl.execution as exec_mod
+
+        cfg = FLConfig(rounds=1, sample_rate=1.0, local_epochs=1, lr=0.05)
+
+        def algo_with_hidden(hidden):
+            def model_fn(rng):
+                return mlp(fed.num_classes, fed.input_shape, hidden=hidden, rng=rng)
+
+            algo = build_algorithm("fedavg", fed, model_fn, cfg, seed=0)
+            algo.setup()
+            return algo
+
+        a1, a2 = algo_with_hidden(16), algo_with_hidden(24)
+        fresh = CohortRunner().run_updates(a2, 1, [0, 1, 2])
+        # every object looks alike to id(): the worst case of id reuse
+        monkeypatch.setattr(exec_mod, "id", lambda obj: 0, raising=False)
+        runner = CohortRunner()
+        runner.run_updates(a1, 1, [0, 1, 2])
+        shared = runner.run_updates(a2, 1, [0, 1, 2])
+        for got, want in zip(shared, fresh):
+            np.testing.assert_array_equal(got.params, want.params)
+
 
 class TestVectorGoldenTolerance:
     """Acceptance pin: vector histories match the committed *serial*
