@@ -42,8 +42,9 @@ OUT_DIR = Path(__file__).parent / "out"
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
-#: the timing keys :func:`gate_regressions` gates in every bench row
-GATED_KEYS = ("serial_s", "vector_s")
+#: the timing keys :func:`gate_regressions` gates, each wherever the
+#: baseline row has it (cell wall clocks, per-call codec encode time)
+GATED_KEYS = ("serial_s", "vector_s", "encode_us")
 
 
 def write_bench_json(row: dict, name: str) -> Path:
@@ -110,7 +111,8 @@ def gate_regressions(
     """Perf-gate comparison of a fresh bench row against its baseline.
 
     For every cell in the baseline's ``rows``, each :data:`GATED_KEYS`
-    wall clock is divided by the row's in-job ``calib_s`` and compared
+    timing the baseline row holds (at least one is required) is divided
+    by the record's in-job ``calib_s`` and compared
     against the baseline's calibrated value — machine-speed-independent,
     so only a real slowdown of that code path can trip it.
 
@@ -137,7 +139,10 @@ def gate_regressions(
         if row is None:
             failures.append(f"{cell}: present in baseline, missing from fresh bench")
             continue
-        for key in GATED_KEYS:
+        keys = [key for key in GATED_KEYS if key in base]
+        if not keys:
+            failures.append(f"{cell}: baseline row has none of {GATED_KEYS}")
+        for key in keys:
             try:
                 base_rel = float(base[key]) / base_calib
                 fresh_rel = float(row[key]) / fresh_calib

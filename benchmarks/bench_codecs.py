@@ -12,6 +12,11 @@ and ``topk`` cut metered upload bytes >= 4x (asserted) at a modest
 accuracy cost, so Mb-to-target improves even when rounds-to-target does
 not.
 
+It also times each lossy codec's ``encode`` alone on a P = 21,386-entry
+delta (the per-client upload of the 1000-client FMNIST cell) and writes
+the per-call microseconds, with the in-job calibration time ``calib_s``,
+to ``benchmarks/out/BENCH_13.json`` for the CI perf gate.
+
 Runs standalone too (CI smoke)::
 
     PYTHONPATH=src python benchmarks/bench_codecs.py --smoke
@@ -21,11 +26,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
-from _bench_util import write_bench_json
+import numpy as np
+
+from _bench_util import calibration_seconds, write_bench_json
 from repro.experiments import BENCH_SCALE, SMOKE_SCALE
 from repro.experiments.runner import run_cell
+from repro.fl.codecs import make_codec
 from repro.fl.comm import MB
 
 METHODS = ["fedclust", "fedavg", "ifca"]
@@ -56,6 +65,44 @@ def run_tradeoff(scale, methods=METHODS, codecs=CODECS, seed: int = 0) -> list[d
                 }
             )
     return rows
+
+
+#: delta length of the encode microbench (the 1000-client FMNIST model)
+ENCODE_SIZE = 21386
+#: codecs the microbench times; the engine short-circuits ``none``
+ENCODE_CODECS = ["fp16", "int8", "topk"]
+#: encode calls per timed pass, and timed passes per codec
+ENCODE_CALLS, ENCODE_REPS = 200, 5
+
+
+def encode_microbench() -> dict:
+    """Best-of-:data:`ENCODE_REPS` encode microseconds per call for each
+    codec on an :data:`ENCODE_SIZE`-entry delta.
+
+    Top-k encodes against a committed residual (its steady state).  The
+    calibration kernel is timed round-robin with the codecs so their
+    ratios share the same quiet windows; the minimum is the statistic.
+    """
+    delta = np.random.default_rng(0).standard_normal(ENCODE_SIZE)
+    codecs = {name: make_codec(codec=name) for name in ENCODE_CODECS}
+    codecs["topk"].commit(0, codecs["topk"].encode(0, delta, None))
+    best = dict.fromkeys(ENCODE_CODECS, float("inf"))
+    calib = float("inf")
+    for _ in range(ENCODE_REPS):
+        calib = min(calib, calibration_seconds())
+        for name, codec in codecs.items():
+            rng = np.random.default_rng(1)
+            t0 = time.perf_counter()
+            for _ in range(ENCODE_CALLS):
+                codec.encode(0, delta, rng)
+            best[name] = min(best[name], (time.perf_counter() - t0) / ENCODE_CALLS)
+    return {
+        "bench": "codec_encode",
+        "calib_s": round(calib, 4),
+        "calls": ENCODE_CALLS,
+        "delta_size": ENCODE_SIZE,
+        "rows": {name: {"encode_us": round(t * 1e6, 2)} for name, t in best.items()},
+    }
 
 
 def uplink_reduction(row: dict) -> float:
@@ -140,8 +187,15 @@ def main(argv: list[str] | None = None) -> int:
     path = out_dir / f"{name}.txt"
     path.write_text(text + "\n")
     json_path = write_bench_json({"bench": "codecs", "rows": rows}, name)
+    micro = encode_microbench()
+    micro_path = write_bench_json(micro, "BENCH_13")
     print(text)
-    print(f"[saved to {path} and {json_path}]")
+    print(
+        f"encode us/call at P={micro['delta_size']}: "
+        + ", ".join(f"{c} {r['encode_us']}" for c, r in micro["rows"].items())
+        + f" (calib_s {micro['calib_s']})"
+    )
+    print(f"[saved to {path}, {json_path} and {micro_path}]")
     check_reductions(rows)
     return 0
 

@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 #: bytes of per-message framing a non-identity codec pays (vector length
-#: as uint64) — kept explicit so ``encoded_nbytes`` is exact, not modeled
+#: as uint64) — kept explicit so ``Encoded.nbytes`` is exact, not modeled
 _HEADER_BYTES = 8
 
 
@@ -139,12 +139,6 @@ class Codec(ABC):
             client=None if client_id is None else int(client_id),
         ):
             return self.decode(encoded)
-
-    def encoded_nbytes(
-        self, client_id: int, delta: np.ndarray, rng: np.random.Generator
-    ) -> int:
-        """Exact wire bytes :meth:`encode` would produce for ``delta``."""
-        return self.encode(client_id, delta, rng).nbytes
 
     def commit(self, client_id: int, encoded: Encoded) -> None:
         """Fold a *delivered* transfer's error-feedback state in.
@@ -359,8 +353,8 @@ class TopKCodec(Codec):
         self.frac = float(frac)
         self._residuals: dict[int, np.ndarray] = {}
         #: pre-allocated selection work buffers keyed by delta size: the
-        #: compensated delta, its negated magnitudes (lexsort key), and
-        #: the tie-break index vector — none of which leave the codec
+        #: compensated delta, its negated magnitudes (the selection key)
+        #: and the keep/tie masks — none of which leave the codec
         self._scratch: dict[int, dict[str, np.ndarray]] = {}
 
     def residual(self, client_id: int, size: int) -> np.ndarray:
@@ -378,34 +372,36 @@ class TopKCodec(Codec):
             ws = {
                 "comp": np.empty(size, dtype=np.float64),
                 "negabs": np.empty(size, dtype=np.float64),
-                "arange": np.arange(size),
+                "keep": np.empty(size, dtype=bool),
+                "tied": np.empty(size, dtype=bool),
             }
             self._scratch[size] = ws
         return ws
 
     def encode(self, client_id, delta, rng) -> Encoded:
-        ws = self._scratch_for(delta.size) if delta.ndim == 1 else None
-        if ws is not None:
-            compensated = np.add(
-                delta, self.residual(client_id, delta.size), out=ws["comp"]
-            )
-        else:
-            compensated = delta + self.residual(client_id, delta.size)
+        ws = self._scratch_for(delta.size)
+        compensated = np.add(
+            delta, self.residual(client_id, delta.size), out=ws["comp"]
+        )
         k = max(1, math.ceil(self.frac * delta.size))
         if k >= delta.size:
             idx = np.arange(delta.size, dtype=np.int32)
-        elif ws is not None:
-            # lexsort: primary key -|a| (descending magnitude), secondary
-            # key the index itself — a total, platform-independent order.
-            # Keys are built in the scratch buffers (negation is exact, so
-            # the selection is bitwise the allocating path's).
-            np.abs(compensated, out=ws["negabs"])
-            np.negative(ws["negabs"], out=ws["negabs"])
-            order = np.lexsort((ws["arange"], ws["negabs"]))
-            idx = np.sort(order[:k]).astype(np.int32)
         else:
-            order = np.lexsort((np.arange(delta.size), -np.abs(compensated)))
-            idx = np.sort(order[:k]).astype(np.int32)
+            # Keep the k smallest keys -|a| (descending magnitude, NaN
+            # last, ties toward the lower index): everything strictly
+            # below the k-th key, then the lowest-index entries tied with
+            # it.  O(P) selection, same total order as a full sort.
+            negabs = np.abs(compensated, out=ws["negabs"])
+            np.negative(negabs, out=negabs)
+            thr = np.partition(negabs, k - 1)[k - 1]
+            if np.isnan(thr):  # fewer than k non-NaN keys
+                tied = np.isnan(negabs, out=ws["tied"])
+                keep = np.logical_not(tied, out=ws["keep"])
+            else:
+                keep = np.less(negabs, thr, out=ws["keep"])
+                tied = np.equal(negabs, thr, out=ws["tied"])
+            keep[np.flatnonzero(tied)[: k - np.count_nonzero(keep)]] = True
+            idx = np.flatnonzero(keep).astype(np.int32)
         values = compensated[idx]
         residual_after = compensated.copy()
         residual_after[idx] = 0.0

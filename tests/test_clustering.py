@@ -114,6 +114,79 @@ class TestAgainstScipy:
         )
 
 
+def masked_agglomerative_merges(d, linkage):
+    """The merge loop with a fresh active-pair mask per merge (O(N^3)
+    allocation): oracle for the in-place inf-retirement loop."""
+    n = d.shape[0]
+    work = d.copy() ** 2 if linkage == "ward" else d.copy()
+    np.fill_diagonal(work, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)
+    merges = np.zeros((n - 1, 4))
+    for t in range(n - 1):
+        masked = np.where(active[:, None] & active[None, :], work, np.inf)
+        i, j = divmod(int(np.argmin(masked)), n)
+        if i > j:
+            i, j = j, i
+        h = work[i, j]
+        height = float(np.sqrt(h)) if linkage == "ward" else float(h)
+        merges[t] = (ids[i], ids[j], height, sizes[i] + sizes[j])
+        ni, nj = float(sizes[i]), float(sizes[j])
+        di, dj = work[i, :], work[j, :]
+        if linkage == "single":
+            new = np.minimum(di, dj)
+        elif linkage == "complete":
+            new = np.maximum(di, dj)
+        elif linkage == "average":
+            new = (ni * di + nj * dj) / (ni + nj)
+        else:
+            nk = sizes.astype(np.float64)
+            new = ((ni + nk) * di + (nj + nk) * dj - nk * h) / (ni + nj + nk)
+        new[~active] = np.inf
+        new[i] = new[j] = np.inf
+        work[i, :] = new
+        work[:, i] = new
+        active[j] = False
+        sizes[i] += sizes[j]
+        ids[i] = n + t
+    return merges
+
+
+class TestAgainstMaskedOracle:
+    """``agglomerative`` merges bit for bit like the masked-argmin loop,
+    including its lowest-flat-index tie-break."""
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle(self, linkage, ties, seed):
+        g = np.random.default_rng(seed)
+        n = int(g.integers(2, 60))
+        if ties:  # integer distances in {0..3}: most pairs tie
+            d = np.triu(g.integers(0, 4, (n, n)), 1).astype(np.float64)
+            d = d + d.T
+        else:
+            d = proximity_matrix(g.normal(size=(n, 4)))
+        np.testing.assert_array_equal(
+            agglomerative(d, linkage).merges, masked_agglomerative_merges(d, linkage)
+        )
+
+    @given(
+        d=st.integers(2, 16).flatmap(
+            lambda n: hnp.arrays(np.float64, (n, n), elements=st.integers(0, 3))
+        ),
+        linkage=st.sampled_from(["single", "complete", "average", "ward"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_ties(self, d, linkage):
+        d = np.triu(d, 1)
+        d = d + d.T
+        np.testing.assert_array_equal(
+            agglomerative(d, linkage).merges, masked_agglomerative_merges(d, linkage)
+        )
+
+
 class TestDendrogram:
     @pytest.fixture
     def blobs(self):

@@ -1,7 +1,7 @@
 """Wire-layer codecs: round-trip, error bounds, error feedback, metering.
 
 The contract (see ``docs/architecture.md``): a codec's ``encode`` is pure,
-``encoded_nbytes`` is exact (metered, not modeled), ``decode`` returns a
+its ``nbytes`` is exact (metered, not modeled), ``decode`` returns a
 float64 vector of the original shape, and the engine's wire layer applies
 all of it on the main thread so every execution backend stays bit-for-bit
 identical with any codec enabled.
@@ -9,6 +9,7 @@ identical with any codec enabled.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 
 import numpy as np
@@ -88,14 +89,6 @@ class TestRoundTrip:
         enc = codec.encode(0, delta, rng())
         np.testing.assert_array_equal(codec.decode(enc), delta)
         assert enc.nbytes == delta.nbytes
-
-    def test_encoded_nbytes_matches_encode(self):
-        for name in sorted(CODECS):
-            codec = make_codec(codec=name)
-            delta = rng().standard_normal(64)
-            assert codec.encoded_nbytes(0, delta, rng()) == codec.encode(
-                0, delta, rng()
-            ).nbytes
 
 
 class TestQuantization:
@@ -187,6 +180,107 @@ class TestTopK:
     def test_frac_validated(self):
         with pytest.raises(ValueError, match="topk_frac"):
             TopKCodec(frac=0.0)
+
+
+def lexsort_topk_reference(delta, residual, frac):
+    """The top-k encode as a full sort: lexsort on (-|a|, index), keep the
+    first k, sort them by index.  Oracle for the selection's total order."""
+    compensated = delta + residual
+    k = max(1, math.ceil(frac * delta.size))
+    if k >= delta.size:
+        idx = np.arange(delta.size, dtype=np.int32)
+    else:
+        order = np.lexsort((np.arange(delta.size), -np.abs(compensated)))
+        idx = np.sort(order[:k]).astype(np.int32)
+    values = compensated[idx]
+    residual_after = compensated.copy()
+    residual_after[idx] = 0.0
+    return idx, values, residual_after, int(idx.nbytes + values.nbytes + 8)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+#: keys that stress the selection order: exact ties, signed zeros and
+#: non-finite entries (NaN sorts last, inf first)
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, np.nan, -np.nan, np.inf, -np.inf]
+
+
+def _ks_for(n):
+    """Fractions hitting k = 1, n - 1 and n exactly, plus a middle k."""
+    return [0.5 / n, (n - 1.5) / n, (n - 0.5) / n, 1.0, 0.3]
+
+
+class TestTopKSelectionOracle:
+    """The O(P) partition selection equals the full lexsort bit for bit:
+    ``idx``, ``values``, ``residual_after`` and ``nbytes``."""
+
+    def _walk(self, frac, deltas, client_ids):
+        """Encode and commit a sequence (dirtying the scratch buffers),
+        checking every encode against the reference."""
+        codec = TopKCodec(frac=frac)
+        for cid, delta in zip(client_ids, deltas):
+            residual = codec.residual(cid, delta.size).copy()
+            with np.errstate(invalid="ignore"):  # inf + -inf residuals
+                enc = codec.encode(cid, delta, None)
+                idx, values, residual_after, nbytes = lexsort_topk_reference(
+                    delta, residual, frac
+                )
+            assert_bitwise(enc.payload["idx"], idx)
+            assert_bitwise(enc.payload["values"], values)
+            assert_bitwise(enc.residual_after, residual_after)
+            assert enc.nbytes == nbytes
+            codec.commit(cid, enc)
+
+    @given(
+        deltas=st.integers(2, 40).flatmap(
+            lambda n: st.lists(
+                hnp.arrays(
+                    np.float64, n,
+                    elements=st.one_of(
+                        st.sampled_from(_SPECIAL),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                    ),
+                ),
+                min_size=1, max_size=4,
+            )
+        ),
+        which=st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_lexsort(self, deltas, which):
+        frac = _ks_for(deltas[0].size)[which]
+        self._walk(frac, deltas, [0, 1, 0, 1][: len(deltas)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_heavy_ties_match_lexsort(self, seed):
+        g = np.random.default_rng(seed)
+        n = int(g.integers(50, 3000))
+        pool = np.array(_SPECIAL + [2.0, -2.0, 3.0])
+        deltas = []
+        for _ in range(5):
+            d = g.integers(-3, 4, n).astype(np.float64)  # integer ties
+            spots = g.random(n) < 0.1
+            d[spots] = g.choice(pool, int(spots.sum()))
+            deltas.append(d)
+        for frac in _ks_for(n) + [float(g.uniform(0.01, 0.99))]:
+            self._walk(frac, deltas, [0, 1, 2, 0, 1])
+
+    def test_fewer_finite_keys_than_k(self):
+        """When the k-th key is NaN, every non-NaN entry is kept and the
+        lowest-index NaNs fill the rest."""
+        delta = np.array([np.nan, 1.0, np.nan, -2.0, np.nan, np.nan])
+        enc = TopKCodec(frac=0.5).encode(0, delta, None)
+        np.testing.assert_array_equal(enc.payload["idx"], [0, 1, 3])
+        self._walk(0.5, [delta], [0])
+
+    def test_paper_size_delta(self):
+        g = np.random.default_rng(13)
+        n = 21386
+        deltas = [np.round(g.standard_normal(n), 2) for _ in range(3)]
+        self._walk(0.05, deltas, [4, 4, 4])
 
 
 class TestFactoryAndConfig:
