@@ -16,8 +16,8 @@ on an N-core machine the client-update and evaluation fan-out approaches
 The ``vector`` backend is different: it needs no extra cores — it stacks
 same-shape client models and replaces the per-client Python loop with
 cohort-batched GEMM kernels, so it is faster than ``serial`` even on one
-core.  ``test_vector_backend_speedup`` times both (with the
-documented-tolerance equivalence check) next to an in-job calibration
+core.  ``test_vector_backend_speedup`` times both (with a bit-for-bit
+equivalence check) next to an in-job calibration
 kernel and records them as ``BENCH_10.json``; the CI perf gate
 (``_bench_util.py --gate 10``) holds the serial and the vector wall
 clock, each relative to that calibration, to the committed baseline.
@@ -54,7 +54,7 @@ def _time_cell(dataset: str, method: str, backend: str):
     t0 = time.perf_counter()
     result = run_cell(
         dataset, method, "label_skew_20", BENCH_SCALE, seed=0,
-        backend=backend, workers=WORKERS,
+        fl_options={"backend": backend, "workers": WORKERS},
     )
     return time.perf_counter() - t0, result
 
@@ -144,7 +144,7 @@ def _interleaved_best(dataset: str, method: str, reps: int = 6):
             t0 = time.perf_counter()
             results[backend] = run_cell(
                 dataset, method, "label_skew_20", BENCH_SCALE, seed=0,
-                backend=backend,
+                fl_options={"backend": backend},
             )
             if rep > 0:
                 best[backend] = min(best[backend], time.perf_counter() - t0)
@@ -187,13 +187,10 @@ def _profile_predict_short_circuit(model, x, reps: int = 300):
 
 def run_vector_study() -> dict:
     """Measure every :data:`VECTOR_CELLS` cell under serial and vector,
-    check equivalence at the documented vector tolerance (empirically
-    bitwise; byte metering must stay exact), time the calibration kernel
-    the perf gate divides by, and pin the eval predict short-circuit.
-    Returns the BENCH_10 row."""
-    from repro.fl.execution import VECTOR_ACC_ATOL
-
-    rows, acc_maxdiff = {}, 0.0
+    check the two histories are bit-for-bit equal, time the calibration
+    kernel the perf gate divides by, and pin the eval predict
+    short-circuit.  Returns the BENCH_10 row."""
+    rows = {}
     eval_profile = None
     calib = float("inf")
     for dataset, method in VECTOR_CELLS:
@@ -202,12 +199,9 @@ def run_vector_study() -> dict:
         calib = min(calib, best["calib"])
         res_serial = results["serial"]
         hs, hv = res_serial.history, results["vector"].history
-        diff = float(np.abs(hs.accuracies - hv.accuracies).max())
-        np.testing.assert_allclose(
-            hv.accuracies, hs.accuracies, atol=VECTOR_ACC_ATOL
-        )
+        np.testing.assert_array_equal(hv.accuracies, hs.accuracies)
+        np.testing.assert_array_equal(hv.losses, hs.losses)
         np.testing.assert_array_equal(hs.cumulative_mb, hv.cumulative_mb)
-        acc_maxdiff = max(acc_maxdiff, diff)
         rows[f"{dataset}/{method}"] = {
             "serial_s": round(t_serial, 4),
             "vector_s": round(t_vector, 4),
@@ -227,8 +221,6 @@ def run_vector_study() -> dict:
         "cpu_count": os.cpu_count(),
         "calib_s": round(calib, 4),
         "rows": rows,
-        "acc_maxdiff_vs_serial": acc_maxdiff,
-        "acc_tolerance": VECTOR_ACC_ATOL,
         "eval_predict": eval_profile,
     }
 
@@ -248,10 +240,7 @@ def _render_vector(row: dict) -> str:
     ep = row["eval_predict"]
     lines.append("")
     lines.append(f"calibration kernel: {row['calib_s']:.4f}s")
-    lines.append(
-        f"accuracy maxdiff vs serial: {row['acc_maxdiff_vs_serial']:.2e} "
-        f"(tolerance {row['acc_tolerance']})"
-    )
+    lines.append("vector history vs serial: bit-for-bit equal")
     lines.append(
         f"eval predict short-circuit: {ep['speedup']:.2f}x on "
         f"{ep['n_samples']}-sample client eval set"

@@ -10,8 +10,8 @@ this module, selected via :attr:`repro.fl.config.FLConfig.backend` and
 Bit-for-bit reproducibility contract
 ------------------------------------
 
-All *distributing* backends (serial/thread/process) produce identical
-results (histories, communication bills, cluster assignments) because
+All backends (serial/thread/process/vector) produce identical results
+(histories, communication bills, cluster assignments) because
 client-side work is written as a pure function of
 ``(server state, client id, round index)``:
 
@@ -22,7 +22,9 @@ client-side work is written as a pure function of
   the server exclusively inside ``aggregate`` (which always runs in the
   parent, after all of the round's tasks complete);
 * results are returned in submission order regardless of completion order,
-  so downstream floating-point reductions see the same operand order.
+  so downstream floating-point reductions see the same operand order;
+* the ``vector`` backend's batched kernels are the serial path's kernels:
+  a single model trains as a cohort of one.
 
 Backends
 --------
@@ -43,11 +45,12 @@ Backends
     No pool at all: same-shape client tasks are stacked along a leading
     cohort axis and executed as *one* batched tensor program through the
     ``nn`` layers' ``forward_many``/``backward_many`` kernels — the
-    single-core throughput lever.  Batching reorders float accumulation,
-    so this backend trades bit-exactness for a pinned numeric tolerance
-    (``VECTOR_*`` constants below); tasks it cannot batch (bespoke client
-    loops, stateful-RNG layers, singleton dispatches) run through the
-    exact serial loop and stay bit-for-bit.
+    single-core throughput lever.  The serial path runs those same kernels
+    as a cohort of one, and each member's slice of a batched GEMM or
+    reduction is computed exactly as it would be alone, so this backend is
+    bit-for-bit too.  Tasks it cannot batch (bespoke client loops,
+    stateful-RNG layers, singleton dispatches) run through the serial
+    loop.
 
 ``ProcessBackend``
     A persistent pool of ``fork``-start worker processes (Linux/macOS).
@@ -116,29 +119,13 @@ __all__ = [
     "make_backend",
     "resolve_workers",
     "VECTOR_ACC_ATOL",
-    "VECTOR_LOSS_RTOL",
-    "VECTOR_PARAM_RTOL",
 ]
 
-#: Numeric contract of the ``vector`` backend against the serial path.
-#: Cohort batching changes only float *accumulation order* (stacked GEMMs
-#: and fused reductions), never the algorithm, so per-round metrics agree
-#: to within accumulated rounding noise.  The bounds below are pinned with
-#: a wide margin over what the golden-equivalence suite measures (observed
-#: drift is orders of magnitude smaller; see ``docs/architecture.md``) and
-#: are enforced by ``tests/test_execution.py``:
-#:
-#: * accuracy is an argmax statistic over at most a few hundred test
-#:   samples per client — a single boundary flip moves it by 1/n, so the
-#:   tolerance admits a handful of flipped samples per federation;
-#: * losses/params drift multiplicatively with the depth of reordered
-#:   reductions.
-#:
-#: Byte counters (``cumulative_mb``, ``upload_bytes``, ``download_bytes``)
-#: are metered from array shapes and stay *exact* under ``vector``.
+#: Accuracy tolerance of the ``vector`` backend against the serial path,
+#: kept for consumers that check a vector run against a serial reference.
+#: Vector and serial runs are bit-for-bit equal (``tests/test_execution.py``
+#: asserts exact equality), so any positive bound holds.
 VECTOR_ACC_ATOL = 0.05
-VECTOR_LOSS_RTOL = 1e-2
-VECTOR_PARAM_RTOL = 1e-4
 
 
 #: worker-pool size knob, shared by the thread/process backends and
@@ -399,7 +386,7 @@ class ClientTrainSpec:
     recipe, which is what lets :class:`CohortRunner` replay the task as a
     slice of one batched cohort instead of calling the method.  Algorithms
     with bespoke client loops return ``None`` instead and the runner falls
-    back to the serial loop, bit-for-bit.
+    back to the serial loop.
     """
 
     client_id: int
@@ -445,8 +432,7 @@ class CohortRunner(ExecutionBackend):
     client recipe executes; everything downstream (``aggregate``/``merge``,
     codecs, attacks, topology) receives ordinary per-client
     ``ClientUpdate``s.  Tasks the runner cannot express as a cohort slice
-    run through the exact serial loop instead, preserving bit-for-bit
-    equivalence there:
+    run through the serial loop instead:
 
     * algorithms overriding ``client_update``/``evaluate_client``/
       ``local_train`` (SCAFFOLD, FedDyn, IFCA, Per-FedAvg) — detected via
@@ -455,10 +441,9 @@ class CohortRunner(ExecutionBackend):
       without cohort kernels;
     * single-task dispatches (no batching win).
 
-    Batched cohorts reproduce the serial math with identical minibatch
-    schedules, per-client generators, and operand ordering *within* each
-    step; only float accumulation order differs (see the module-level
-    ``VECTOR_*`` tolerance contract).
+    Batched cohorts reproduce the serial math bit-for-bit: identical
+    minibatch schedules, per-client generators, and the same kernels the
+    serial path runs as a cohort of one.
     """
 
     name = "vector"
@@ -486,7 +471,7 @@ class CohortRunner(ExecutionBackend):
 
     @staticmethod
     def _serial(algorithm, method, argslist) -> list:
-        # the exact SerialBackend loop (bit-for-bit fallback path)
+        # the SerialBackend loop (fallback for tasks that cannot batch)
         fn = getattr(algorithm, method)
         return [fn(*args) for args in argslist]
 

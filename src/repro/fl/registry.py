@@ -223,8 +223,7 @@ _declare(
     module="repro.fl.execution",
     doc=(
         "how the per-round client sweep executes; serial/thread/process "
-        "are bit-for-bit identical, vector (cohort-batched kernels) "
-        "matches serial within a pinned, test-enforced tolerance"
+        "and vector (cohort-batched kernels) are bit-for-bit identical"
     ),
     example="thread:workers=4",
 )

@@ -1,10 +1,11 @@
 """Local SGD training routines shared by every algorithm's client update.
 
-The ``*_many`` variants are the cohort-batched counterparts used by the
-``vector`` execution backend: they run the same minibatch schedule for a
-whole stack of clients at once over a leading cohort axis, drawing each
-member's shuffles from its own generator so the visit order per client is
-identical to the serial loop.
+The ``*_many`` forms are the one implementation: they run a minibatch
+schedule for a whole stack of clients at once over a leading cohort axis,
+drawing each member's shuffles from its own generator.  The single-model
+:func:`local_sgd` and :func:`evaluate_accuracy` run them on the model as a
+cohort of one (:meth:`CohortModel.unit`), so a client visits its samples
+in the same order, and computes the same numbers, on every backend.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "evaluate_accuracy",
     "evaluate_accuracy_many",
     "evaluate_loss",
-    "evaluate_loss_many",
     "minibatches",
 ]
 
@@ -99,18 +99,10 @@ def local_sgd(
         ``(mean_loss, num_steps)``; the step count feeds FedNova's
         normalized aggregation.
     """
-    total_loss = 0.0
-    steps = 0
-    for _ in range(epochs):
-        for batch in minibatches(len(y), batch_size, rng):
-            model.zero_grad()
-            logits = model.forward(x[batch], train=True)
-            loss, dlogits = softmax_cross_entropy(logits, y[batch])
-            model.backward(dlogits, need_input_grad=False)
-            opt.step()
-            total_loss += loss
-            steps += 1
-    return total_loss / max(steps, 1), steps
+    losses, steps = local_sgd_many(
+        CohortModel.unit(model), opt, x[None], y[None], epochs, batch_size, [rng]
+    )
+    return float(losses[0]), steps
 
 
 def local_sgd_many(
@@ -126,6 +118,7 @@ def local_sgd_many(
 
     Args:
         model: cohort model holding one parameter slice per client.
+        opt: optimizer bound to ``model``.
         x: ``(cohort, n, ...)`` stacked training inputs (equal ``n``).
         y: ``(cohort, n)`` stacked integer labels.
         epochs: passes over the data (shared across the cohort).
@@ -149,7 +142,7 @@ def local_sgd_many(
     for _ in range(epochs):
         batches = [minibatches(n, batch_size, rng) for rng in rngs]
         for s in range(len(batches[0])):
-            idx = np.stack([b[s] for b in batches])
+            idx = np.array([b[s] for b in batches])
             model.zero_grad()
             logits = model.forward(x[rows, idx], train=True)
             losses, dlogits = softmax_cross_entropy_many(logits, y[rows, idx])
@@ -161,7 +154,8 @@ def local_sgd_many(
 
 
 def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
-    """Top-1 accuracy in evaluation mode.
+    """Top-1 accuracy in evaluation mode (:func:`evaluate_accuracy_many`
+    on a cohort of one).
 
     Args:
         model: the model to evaluate (uses ``predict``, i.e. eval mode).
@@ -174,10 +168,7 @@ def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
     Raises:
         ValueError: on an empty evaluation set.
     """
-    if len(y) == 0:
-        raise ValueError("cannot evaluate on an empty set")
-    logits = model.predict(x)
-    return float((logits.argmax(axis=1) == y).mean())
+    return float(evaluate_accuracy_many(CohortModel.unit(model), x[None], y[None])[0])
 
 
 def evaluate_loss(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
@@ -197,47 +188,27 @@ def evaluate_loss(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
     """
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty set")
-    logits = model.predict(x)
-    loss, _ = softmax_cross_entropy(logits, y)
+    loss, _ = softmax_cross_entropy(model.predict(x), y)
     return loss
 
 
 def evaluate_accuracy_many(
     model: CohortModel, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Cohort-batched :func:`evaluate_accuracy` over stacked test sets.
+    """Cohort-batched top-1 accuracy over stacked test sets.
 
     Args:
         model: cohort model holding one parameter slice per client.
         x: ``(cohort, n, ...)`` stacked inputs (equal per-member ``n``).
-        y: ``(cohort, n)`` stacked integer labels.
+        y: ``(cohort, n)`` stacked integer labels (non-empty).
 
     Returns:
-        ``(cohort,)`` per-member top-1 accuracy; each slice is the value
-        :func:`evaluate_accuracy` would return for that member alone
-        (modulo the batched path's float accumulation order).
+        ``(cohort,)`` per-member top-1 accuracy.
+
+    Raises:
+        ValueError: on an empty evaluation set.
     """
     if y.shape[1] == 0:
         raise ValueError("cannot evaluate on an empty set")
     logits = model.predict(x)
     return (logits.argmax(axis=-1) == y).mean(axis=1)
-
-
-def evaluate_loss_many(
-    model: CohortModel, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Cohort-batched :func:`evaluate_loss` over stacked datasets.
-
-    Args:
-        model: cohort model holding one parameter slice per client.
-        x: ``(cohort, n, ...)`` stacked inputs (equal per-member ``n``).
-        y: ``(cohort, n)`` stacked integer labels.
-
-    Returns:
-        ``(cohort,)`` per-member mean softmax cross-entropy.
-    """
-    if y.shape[1] == 0:
-        raise ValueError("cannot evaluate on an empty set")
-    logits = model.predict(x)
-    losses, _ = softmax_cross_entropy_many(logits, y)
-    return losses

@@ -18,7 +18,7 @@ from repro.nn.layers import (
     MaxPool2d,
     ReLU,
 )
-from repro.nn.losses import accuracy, mse_loss, softmax_cross_entropy
+from repro.nn.losses import accuracy, softmax_cross_entropy
 from repro.nn.model import Residual, Sequential
 from repro.nn.models import MODEL_BUILDERS, build_model, lenet5, mlp, resnet9, vgg_mini
 from repro.nn.optim import SGD, Adam, cosine_schedule, step_decay
@@ -54,7 +54,6 @@ __all__ = [
     "step_decay",
     "cosine_schedule",
     "softmax_cross_entropy",
-    "mse_loss",
     "accuracy",
     "mlp",
     "lenet5",

@@ -1,12 +1,21 @@
 """Strided-slice im2col / col2im kernels for convolution and pooling.
 
-A convolution is one GEMM against patch columns.  Both the serial
-:func:`im2col`/:func:`col2im` pair and the cohort-batched
-:class:`CohortConvWorkspace` build those columns with the same loop,
-:func:`_kernel_windows`: one strided slice per kernel offset ``(fi, fj)``,
-copied into the columns (gather) or added back into the input gradient
-(scatter).  That is ``fh*fw`` vectorized slice operations per call, with
-no Python loop over the batch or spatial dimensions and no index arrays.
+A convolution is one GEMM against patch columns.  :class:`CohortConvWorkspace`
+builds them for a stack of ``C`` models and is the only implementation:
+layers keep their workspaces in a small shape-keyed cache
+(:func:`cached_workspace`), and the single-model :func:`im2col`/
+:func:`col2im` pair runs a one-off workspace as a cohort of one.  A
+workspace makes one strided slice per kernel offset ``(fi, fj)``
+(:func:`_kernel_windows`), copied into the columns (gather) or added back
+into the input gradient (scatter); the slices of the workspace's own
+buffers are views built once, with the buffers.  That is ``fh*fw`` vectorized slice operations per call,
+with no Python loop over the batch or spatial dimensions and no index
+arrays.
+
+The input is staged sample-last, ``(C, ch, H+2p, W+2p, N)``, and the
+columns run over ``(out_h, out_w, N)`` with the sample index fastest, so
+every window copy moves unit-stride runs of ``N`` values and a cohort
+member's GEMM reduces its columns in the same order as a lone model's.
 
 The scatter visits kernel offsets in ``(fi, fj)``-major order, the order
 in which ``np.add.at`` over the ``(channel, fi, fj)`` patch axis would
@@ -23,6 +32,7 @@ __all__ = [
     "conv_output_size",
     "im2col",
     "col2im",
+    "cached_workspace",
     "CohortConvWorkspace",
 ]
 
@@ -57,25 +67,13 @@ def im2col(x: np.ndarray, field_h: int, field_w: int, stride: int, pad: int) -> 
     """Unfold ``(N, C, H, W)`` into patch columns ``(C*fh*fw, out_h*out_w*N)``.
 
     Rows are channel-major then ``(fi, fj)`` row-major; columns run over
-    ``(out_h, out_w, N)`` with the sample index fastest.
+    ``(out_h, out_w, N)`` with the sample index fastest.  A one-off
+    :meth:`CohortConvWorkspace.gather` on a cohort of one.
     """
     if x.ndim != 4:
         raise ValueError(f"im2col expects NCHW input, got shape {x.shape}")
-    n, c, h, w = x.shape
-    p = pad
-    oh = conv_output_size(h, field_h, stride, p)
-    ow = conv_output_size(w, field_w, stride, p)
-    # Stage the input sample-last, (C, H+2p, W+2p, N), so every window
-    # copy below moves unit-stride runs of N values.
-    if p > 0:
-        xt = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
-        xt[:, p : p + h, p : p + w] = x.transpose(1, 2, 3, 0)
-    else:
-        xt = x.transpose(1, 2, 3, 0)
-    cols = np.empty((c, field_h, field_w, oh, ow, n), dtype=x.dtype)
-    for fi, fj, rows, cs in _kernel_windows(field_h, field_w, stride, oh, ow):
-        cols[:, fi, fj] = xt[:, rows, cs]
-    return cols.reshape(c * field_h * field_w, oh * ow * n)
+    ws = CohortConvWorkspace((1, *x.shape), x.dtype, field_h, field_w, stride, pad)
+    return ws.gather(x[None])[0]
 
 
 def col2im(
@@ -88,30 +86,42 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch columns back into an ``(N, C, H, W)`` gradient (adjoint of
     :func:`im2col`); overlapping windows accumulate."""
-    n, c, h, w = x_shape
-    p = pad
-    oh = conv_output_size(h, field_h, stride, p)
-    ow = conv_output_size(w, field_w, stride, p)
-    d6 = cols.reshape(c, field_h, field_w, oh, ow, n)
-    buf = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=cols.dtype)
-    for fi, fj, rows, cs in _kernel_windows(field_h, field_w, stride, oh, ow):
-        buf[:, rows, cs] += d6[:, fi, fj]
-    return np.ascontiguousarray(buf[:, p : p + h, p : p + w].transpose(3, 0, 1, 2))
+    ws = CohortConvWorkspace((1, *x_shape), cols.dtype, field_h, field_w, stride, pad)
+    return ws.scatter(cols[None])[0]
+
+
+def cached_workspace(
+    cache: dict, shape: tuple[int, ...], dtype, field_h: int, field_w: int,
+    stride: int, pad: int,
+) -> "CohortConvWorkspace":
+    """The workspace for ``(shape, dtype)`` from a layer's ``cache``, built on
+    first use.  The cache keeps the 8 most recently built (a training loop
+    sees at most two batch shapes per cohort size: full and remainder)."""
+    key = (shape, dtype)
+    ws = cache.get(key)
+    if ws is None:
+        if len(cache) >= 8:
+            cache.pop(next(iter(cache)))
+        ws = cache[key] = CohortConvWorkspace(
+            shape, dtype, field_h, field_w, stride, pad
+        )
+    return ws
 
 
 class CohortConvWorkspace:
     """Pre-allocated im2col/col2im scratch for cohort-batched convolution.
 
     One workspace serves one ``(cohort, batch, channels, H, W)`` input shape
-    (and dtype); :class:`~repro.nn.layers.Conv2d` keeps a small per-layer
-    cache of them so training reuses the same buffers every step instead of
-    reallocating per call.  The cohort axis ``C`` is the number of stacked
+    (and dtype); :class:`~repro.nn.layers.Conv2d` and the pooling layers
+    keep a small per-layer cache of them (:func:`cached_workspace`) so
+    training reuses the same buffers every step instead of reallocating
+    per call.  The cohort axis ``C`` is the number of stacked
     client models; each member sees its own batch of ``N`` samples.
 
-    Layout: :meth:`gather` produces ``(C, ch*fh*fw, N*L)`` patch columns
-    (``L = out_h*out_w``) so a single batched GEMM against the stacked
-    ``(C, out_ch, ch*fh*fw)`` kernel computes every member's convolution;
-    :meth:`scatter` is its adjoint.
+    Layout: :meth:`gather` produces ``(C, ch*fh*fw, L*N)`` patch columns
+    (``L = out_h*out_w``, sample index fastest) so a single batched GEMM
+    against the stacked ``(C, out_ch, ch*fh*fw)`` kernel computes every
+    member's convolution; :meth:`scatter` is its adjoint.
     """
 
     def __init__(
@@ -134,18 +144,32 @@ class CohortConvWorkspace:
         hp, wp = h + 2 * pad, w + 2 * pad
         self.patch_len = ch * field_h * field_w
         self.out_len = self.out_h * self.out_w
-        #: zero-padded input staging buffer (None when pad == 0: the raw
-        #: input is sliced directly, no copy)
-        self._pad_buf = (
-            np.zeros((c, n, ch, hp, wp), dtype=self.dtype) if pad > 0 else None
+        #: zero-padded sample-last staging buffer (C, ch, H+2p, W+2p, N),
+        #: of which gather writes only the interior; None when pad == 0,
+        #: where a transposed view of the input serves
+        self._stage = (
+            np.zeros((c, ch, hp, wp, n), dtype=self.dtype) if pad > 0 else None
         )
-        #: GEMM-ready columns (C, ckk, N, L); viewed as (C, ckk, N*L)
-        self._cols = np.empty((c, self.patch_len, n, self.out_len), dtype=self.dtype)
-        #: backward scatter target (C, N, ch, H+2p, W+2p)
-        self._dx_pad = np.empty((c, n, ch, hp, wp), dtype=self.dtype)
+        #: GEMM-ready columns (C, ch, fh, fw, oh, ow, N); viewed as (C, ckk, L*N)
+        self._cols = np.empty(
+            (c, ch, *self.field, self.out_h, self.out_w, n), dtype=self.dtype
+        )
+        #: backward scatter target (C, ch, H+2p, W+2p, N)
+        self._dx_pad = np.empty((c, ch, hp, wp, n), dtype=self.dtype)
+        every = slice(None)
+        offsets = [
+            ((every, every, fi, fj), (every, every, rows, cs))
+            for fi, fj, rows, cs in _kernel_windows(
+                *self.field, self.stride, self.out_h, self.out_w
+            )
+        ]
+        #: per kernel offset: (its columns slot, index of its input window)
+        self._gathers = [(self._cols[slot], win) for slot, win in offsets]
+        #: per kernel offset: (its window of the scatter target, slot index)
+        self._scatters = [(self._dx_pad[win], slot) for slot, win in offsets]
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """Unfold ``(C, N, ch, H, W)`` input into ``(C, ckk, N*L)`` columns.
+        """Unfold ``(C, N, ch, H, W)`` input into ``(C, ckk, L*N)`` columns.
 
         Writes exclusively into the workspace's pre-allocated buffers; the
         returned array is a reshaped view of the internal columns buffer
@@ -153,20 +177,16 @@ class CohortConvWorkspace:
         """
         c, n, ch, h, w = self.shape
         p = self.pad
+        xt = x.transpose(0, 2, 3, 4, 1)
         if p > 0:
-            self._pad_buf[:, :, :, p:-p, p:-p] = x
-            xp = self._pad_buf
-        else:
-            xp = x
-        c7 = self._cols.reshape(c, ch, *self.field, n, self.out_h, self.out_w)
-        for fi, fj, rows, cs in _kernel_windows(
-            *self.field, self.stride, self.out_h, self.out_w
-        ):
-            c7[:, :, fi, fj] = xp[..., rows, cs].transpose(0, 2, 1, 3, 4)
-        return self._cols.reshape(c, self.patch_len, n * self.out_len)
+            self._stage[:, :, p : p + h, p : p + w] = xt
+            xt = self._stage
+        for cols, win in self._gathers:
+            cols[...] = xt[win]
+        return self._cols.reshape(c, self.patch_len, self.out_len * n)
 
     def scatter(self, dcols: np.ndarray) -> np.ndarray:
-        """Fold ``(C, ckk, N*L)`` column gradients back to ``(C, N, ch, H, W)``.
+        """Fold ``(C, ckk, L*N)`` column gradients back to ``(C, N, ch, H, W)``.
 
         The adjoint of :meth:`gather` (scatter-add over overlapping
         patches).  Returns a freshly-allocated gradient array (it flows on
@@ -174,18 +194,12 @@ class CohortConvWorkspace:
         """
         c, n, ch, h, w = self.shape
         p = self.pad
-        buf = self._dx_pad
-        buf.fill(0.0)
-        # (C, ckk, N*L) -> (C, N, ch, fh, fw, oh, ow) in one contiguous copy
-        # up front, so the per-offset adds below read unit-stride sources.
-        d7 = np.ascontiguousarray(
-            dcols.reshape(c, ch, *self.field, n, self.out_h, self.out_w)
-            .transpose(0, 4, 1, 2, 3, 5, 6)
+        self._dx_pad.fill(0.0)
+        d7 = dcols.reshape(self._cols.shape)
+        for dx, slot in self._scatters:
+            dx += d7[slot]
+        return (
+            self._dx_pad[:, :, p : p + h, p : p + w]
+            .transpose(0, 4, 1, 2, 3)
+            .copy()
         )
-        for fi, fj, rows, cs in _kernel_windows(
-            *self.field, self.stride, self.out_h, self.out_w
-        ):
-            buf[..., rows, cs] += d7[:, :, :, fi, fj]
-        if p == 0:
-            return buf.copy()
-        return buf[:, :, :, p:-p, p:-p].copy()

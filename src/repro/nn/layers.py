@@ -1,11 +1,17 @@
 """Layers of the NumPy deep-learning framework.
 
-Every layer implements explicit backprop:
+Every layer implements explicit backprop over a leading cohort axis ``C``
+(the number of stacked client models):
 
-* ``forward(x, train)`` returns the activation and caches whatever the
-  backward pass needs;
-* ``backward(dout)`` returns the gradient w.r.t. the input and *accumulates*
-  gradients into its :class:`~repro.nn.parameter.Parameter` objects.
+* ``forward_many(x, train)`` maps ``(C, N, ...)`` to ``(C, N, ...)`` and
+  caches whatever the backward pass needs;
+* ``backward_many(dout)`` returns the gradient w.r.t. the input and
+  *accumulates* gradients into each :class:`~repro.nn.parameter.Parameter`'s
+  stacked ``grad_many``.
+
+The single-model ``forward``/``backward`` pair is the same kernel run as a
+cohort of one: a fresh parameter's ``many``/``grad_many`` are views of its
+``data``/``grad``, so there is one copy of every layer's math.
 
 All hot paths are vectorized (im2col + GEMM for convolutions, masked scatter
 for max-pooling); there are no Python loops over batch or spatial dims.
@@ -13,13 +19,15 @@ for max-pooling); there are no Python loops over batch or spatial dims.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn import init as _init
-from repro.nn.conv_utils import (
+from repro.nn.conv_utils import (  # noqa: F401 - im2col/col2im re-exported
     CohortConvWorkspace,
+    cached_workspace,
     col2im,
-    conv_output_size,
     im2col,
 )
 from repro.nn.parameter import Parameter
@@ -38,16 +46,33 @@ __all__ = [
 ]
 
 
+def _unit_forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    """Single-model forward: the cohort kernel on a cohort of one."""
+    return self.forward_many(x[None], train)[0]
+
+
+def _unit_backward(self, dout: np.ndarray) -> np.ndarray:
+    """Single-model backward: the cohort kernel on a cohort of one."""
+    return self.backward_many(dout[None])[0]
+
+
 class Layer:
     """Base class: a differentiable module with (possibly empty) parameters.
 
-    Besides the per-model ``forward``/``backward`` pair, every layer offers
-    a *cohort-batched* kernel path (``forward_many``/``backward_many``) over
-    a leading cohort axis ``C``: the input is ``(C, N, ...)`` and, for
-    parametric layers, each cohort slice is transformed by its own stacked
-    parameter slice (bound via :meth:`bind_cohort`).  Parameter-free layers
-    inherit an exact default that folds the cohort axis into the batch axis;
-    parametric layers implement stacked einsum/GEMM kernels.
+    The kernels are ``forward_many``/``backward_many`` over a leading cohort
+    axis ``C``: the input is ``(C, N, ...)`` and, for parametric layers,
+    each cohort slice is transformed by its own stacked parameter slice
+    (``Parameter.many``; :meth:`bind_cohort` allocates a template's own).
+    Parametric built-ins implement stacked einsum/GEMM kernels and run
+    ``forward``/``backward`` as a cohort of one.
+
+    Parameter-free layers keep a single-model kernel: most treat every
+    leading axis as batch (``_LeadingAxes``); the rest, and third-party
+    layers that implement only ``forward``/``backward``, inherit a
+    ``forward_many`` that folds the cohort axis into the batch axis.  The
+    fold is exact for sample-independent parameter-free layers at any
+    cohort size, and for any layer on a cohort of one over its own (not
+    cohort-bound) parameters.
     """
 
     #: True for layers whose Parameters represent a classifier head.  Used by
@@ -62,16 +87,6 @@ class Layer:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def backward_params_only(self, dout: np.ndarray) -> None:
-        """Accumulate parameter gradients without computing dx.
-
-        Used for the *first* layer of a model, whose input gradient nobody
-        consumes; the serial counterpart of
-        :meth:`backward_many_params_only`.  Parameter gradients are bitwise
-        identical to :meth:`backward`'s.
-        """
-        self.backward(dout)
 
     def state(self) -> dict[str, np.ndarray]:
         """Non-trainable buffers (e.g. batch-norm running stats)."""
@@ -91,15 +106,15 @@ class Layer:
             p.bind_cohort(cohort)
 
     def state_many(self) -> dict[str, np.ndarray]:
-        """Stacked ``(C, ...)`` non-trainable buffers of a cohort-bound
-        layer (empty for stateless layers)."""
+        """Stacked ``(C, ...)`` non-trainable buffers (empty for stateless
+        layers)."""
         return {}
 
     def supports_cohort(self) -> bool:
         """Whether this layer implements the cohort kernel path.
 
-        True for every built-in: parameter-free layers ride the exact
-        reshape default below; parametric built-ins override the kernels.
+        True for every built-in: parameter-free layers are exact on any
+        cohort; parametric built-ins implement the kernels.
         A third-party parametric layer that has not implemented
         ``forward_many`` reports False, and the vector backend falls back
         to serial execution for the whole model.
@@ -111,11 +126,11 @@ class Layer:
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Cohort-batched forward: ``(C, N, ...) -> (C, N, ...)``.
 
-        Default (parameter-free layers only): fold the cohort axis into the
-        batch axis and delegate to :meth:`forward` — bitwise identical to
-        per-member calls for all sample-independent layers.
+        Default: fold the cohort axis into the batch axis and delegate to
+        :meth:`forward` (see the class docstring for when that is exact).
         """
-        if self.parameters():
+        params = self.parameters()
+        if params and (x.shape[0] != 1 or any(p.cohort_bound for p in params)):
             raise NotImplementedError(
                 f"{type(self).__name__} has parameters but no cohort kernel"
             )
@@ -175,26 +190,14 @@ class Dense(Layer):
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Dense expected (N, {self.in_features}) input, got {x.shape}"
-            )
-        self._x = x if train else None
-        return x @ self.w.data + self.b.data
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before a training forward pass")
-        self.w.grad += self._x.T @ dout
-        self.b.grad += dout.sum(axis=0)
-        return dout @ self.w.data.T
+    forward = _unit_forward
+    backward = _unit_backward
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
             raise ValueError(
-                f"Dense expected (C, N, {self.in_features}) cohort input, "
-                f"got {x.shape}"
+                f"Dense expected (N, {self.in_features}) input per model, "
+                f"got {x.shape[1:]}"
             )
         self._x = x if train else None
         # batched GEMM: (C,N,in) @ (C,in,out) -> (C,N,out), one kernel for
@@ -202,16 +205,13 @@ class Dense(Layer):
         return np.matmul(x, self.w.many) + self.b.many[:, None, :]
 
     def backward_many(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before a training forward pass")
-        # batched (C,in,N) @ (C,N,out) — one GEMM for every member's x^T·dout
-        self.w.grad_many += np.matmul(self._x.transpose(0, 2, 1), dout)
-        self.b.grad_many += dout.sum(axis=1)
+        self.backward_many_params_only(dout)
         return np.matmul(dout, self.w.many.transpose(0, 2, 1))
 
     def backward_many_params_only(self, dout: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called before a training forward pass")
+        # batched (C,in,N) @ (C,N,out) — one GEMM for every member's x^T·dout
         self.w.grad_many += np.matmul(self._x.transpose(0, 2, 1), dout)
         self.b.grad_many += dout.sum(axis=1)
 
@@ -248,58 +248,48 @@ class Conv2d(Layer):
             f"{name}.w",
         )
         self.b = Parameter(_init.zeros((out_channels,), dtype), f"{name}.b")
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-        #: cohort im2col workspaces keyed by (input shape, dtype); bounded
-        #: (a training loop sees at most two batch shapes: full + remainder)
+        #: im2col workspaces keyed by (input shape, dtype)
         self._cohort_ws: dict[tuple, CohortConvWorkspace] = {}
         self._many_cache: tuple | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
+    forward = _unit_forward
+    backward = _unit_backward
+
     def cohort_workspace(self, x: np.ndarray) -> CohortConvWorkspace:
         """The reusable im2col workspace for ``x``'s shape (cached)."""
-        key = (x.shape, np.dtype(x.dtype).str)
-        ws = self._cohort_ws.get(key)
-        if ws is None:
-            if len(self._cohort_ws) >= 8:
-                self._cohort_ws.pop(next(iter(self._cohort_ws)))
-            ws = CohortConvWorkspace(
-                x.shape, x.dtype, self.kernel_size, self.kernel_size,
-                self.stride, self.pad,
-            )
-            self._cohort_ws[key] = ws
-        return ws
+        k = self.kernel_size
+        return cached_workspace(
+            self._cohort_ws, x.shape, x.dtype, k, k, self.stride, self.pad
+        )
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
-                f"Conv2d expected (C, N, {self.in_channels}, H, W) cohort "
-                f"input, got {x.shape}"
+                f"Conv2d expected (N, {self.in_channels}, H, W) input per "
+                f"model, got {x.shape[1:]}"
             )
         c, n = x.shape[:2]
         ws = self.cohort_workspace(x)
-        cols = ws.gather(x)  # (C, ch*k*k, N*L) — workspace-owned buffer
+        cols = ws.gather(x)  # (C, ch*k*k, L*N) — workspace-owned buffer
         w_mat = self.w.many.reshape(c, self.out_channels, -1)
         out = np.matmul(w_mat, cols) + self.b.many[:, :, None]
-        out = out.reshape(c, self.out_channels, n, ws.out_h, ws.out_w)
-        out = np.ascontiguousarray(out.transpose(0, 2, 1, 3, 4))
-        if train:
-            # cols lives in the workspace (overwritten by the next gather of
-            # this shape); the backward for this step runs before that
-            self._many_cache = (cols, ws, x.shape)
-        else:
-            self._many_cache = None
+        out = out.reshape(c, self.out_channels, ws.out_h, ws.out_w, n)
+        out = np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3))
+        # cols lives in the workspace (overwritten by the next gather of
+        # this shape); the backward for this step runs before that
+        self._many_cache = (cols, ws) if train else None
         return out
 
     def _param_grads_many(self, dout: np.ndarray) -> np.ndarray:
         """Accumulate cohort weight/bias gradients; returns ``dout`` as the
-        ``(C, out_ch, N*L)`` GEMM operand."""
+        ``(C, out_ch, L*N)`` GEMM operand."""
         if self._many_cache is None:
             raise RuntimeError("backward called before a training forward pass")
         cols = self._many_cache[0]
-        dout_mat = np.ascontiguousarray(dout.transpose(0, 2, 1, 3, 4)).reshape(
+        dout_mat = dout.transpose(0, 2, 3, 4, 1).reshape(
             dout.shape[0], self.out_channels, -1
         )
         self.b.grad_many += dout_mat.sum(axis=2)
@@ -319,47 +309,6 @@ class Conv2d(Layer):
         # gradient is dead, and the scatter dominates backward cost.
         self._param_grads_many(dout)
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expected (N, {self.in_channels}, H, W) input, got {x.shape}"
-            )
-        n, _, h, w_in = x.shape
-        k = self.kernel_size
-        out_h = conv_output_size(h, k, self.stride, self.pad)
-        out_w = conv_output_size(w_in, k, self.stride, self.pad)
-        cols = im2col(x, k, k, self.stride, self.pad)  # (C*k*k, N*out_h*out_w)
-        w_mat = self.w.data.reshape(self.out_channels, -1)
-        out = w_mat @ cols + self.b.data[:, None]
-        out = out.reshape(self.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
-        if train:
-            self._cols = cols
-            self._x_shape = x.shape
-        else:
-            self._cols = None
-            self._x_shape = None
-        return np.ascontiguousarray(out)
-
-    def _param_grads(self, dout: np.ndarray) -> np.ndarray:
-        """Accumulate weight/bias gradients; returns ``dout`` as the
-        ``(out_ch, L*N)`` GEMM operand."""
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before a training forward pass")
-        dout_mat = dout.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
-        self.b.grad += dout_mat.sum(axis=1)
-        self.w.grad += (dout_mat @ self._cols.T).reshape(self.w.data.shape)
-        return dout_mat
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        dout_mat = self._param_grads(dout)
-        w_mat = self.w.data.reshape(self.out_channels, -1)
-        k = self.kernel_size
-        return col2im(w_mat.T @ dout_mat, self._x_shape, k, k, self.stride, self.pad)
-
-    def backward_params_only(self, dout: np.ndarray) -> None:
-        # Skip dcols + col2im: a first layer's input gradient is dead.
-        self._param_grads(dout)
-
     def __repr__(self) -> str:
         return (
             f"Conv2d({self.in_channels}->{self.out_channels}, k={self.kernel_size}, "
@@ -367,99 +316,110 @@ class Conv2d(Layer):
         )
 
 
-class MaxPool2d(Layer):
-    """Max pooling; the backward scatters gradients to argmax positions."""
+class _LeadingAxes(Layer):
+    """A parameter-free layer whose kernel treats every leading axis as
+    batch, so its cohort form is the single-model call itself."""
+
+    def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        return self.forward(x, train)
+
+    def backward_many(self, dout: np.ndarray) -> np.ndarray:
+        return self.backward(dout)
+
+
+class _Pool2d(_LeadingAxes):
+    """Window plumbing shared by the pooling layers: every axis before
+    ``(H, W)`` is batch, and each pooling window is one im2col column of a
+    cached single-channel workspace."""
 
     def __init__(self, size: int = 2, stride: int | None = None):
         if size <= 0:
             raise ValueError(f"pool size must be positive, got {size}")
         self.size = size
         self.stride = stride if stride is not None else size
+        self._ws: dict[tuple, CohortConvWorkspace] = {}
         self._cache: tuple | None = None
 
+    def _workspace(self, x_shape: tuple[int, ...], dtype) -> CohortConvWorkspace:
+        *lead, h, w = x_shape
+        k = self.size
+        return cached_workspace(
+            self._ws, (1, math.prod(lead), 1, h, w), dtype, k, k, self.stride, 0
+        )
+
+    def _windows(self, x: np.ndarray) -> tuple[np.ndarray, CohortConvWorkspace]:
+        """``(k*k, L*M)`` window columns of ``x`` (``M`` = leading size)."""
+        ws = self._workspace(x.shape, x.dtype)
+        return ws.gather(x.reshape(ws.shape))[0], ws
+
+    @staticmethod
+    def _to_map(v: np.ndarray, ws: CohortConvWorkspace, x_shape) -> np.ndarray:
+        """One value per window column, ``(L*M,)`` -> ``(..., oh, ow)``."""
+        v = v.reshape(ws.out_h, ws.out_w, -1).transpose(2, 0, 1)
+        return np.ascontiguousarray(v.reshape(*x_shape[:-2], ws.out_h, ws.out_w))
+
+    @staticmethod
+    def _to_row(dout: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_to_map`: ``(..., oh, ow)`` -> ``(L*M,)``."""
+        oh, ow = dout.shape[-2:]
+        return dout.reshape(-1, oh, ow).transpose(1, 2, 0).reshape(-1)
+
+    def _fold(self, dcols: np.ndarray, x_shape, dtype) -> np.ndarray:
+        ws = self._workspace(x_shape, dtype)
+        return ws.scatter(dcols[None])[0].reshape(x_shape)
+
+
+class MaxPool2d(_Pool2d):
+    """Max pooling; the backward scatters gradients to argmax positions."""
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        n, c, h, w = x.shape
-        s, k = self.stride, self.size
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
-        # Treat channels as batch so each column is one pooling window.
-        x_resh = x.reshape(n * c, 1, h, w)
-        cols = im2col(x_resh, k, k, s, 0)  # (k*k, n*c*out_h*out_w)
+        cols, ws = self._windows(x)
         argmax = cols.argmax(axis=0)
-        out = cols[argmax, np.arange(cols.shape[1])]
-        out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
-        if train:
-            self._cache = (x.shape, cols.shape, argmax)
-        else:
-            self._cache = None
-        return np.ascontiguousarray(out)
+        out = self._to_map(cols[argmax, np.arange(cols.shape[1])], ws, x.shape)
+        self._cache = (x.shape, cols.shape, argmax) if train else None
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training forward pass")
         x_shape, cols_shape, argmax = self._cache
-        n, c, h, w = x_shape
-        k, s = self.size, self.stride
-        oh, ow = dout.shape[2], dout.shape[3]
         dcols = np.zeros(cols_shape, dtype=dout.dtype)
-        dout_cols = dout.reshape(n * c, oh, ow).transpose(1, 2, 0).reshape(-1)
-        dcols[argmax, np.arange(cols_shape[1])] = dout_cols
-        dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)
-        return dx.reshape(n, c, h, w)
+        dcols[argmax, np.arange(cols_shape[1])] = self._to_row(dout)
+        return self._fold(dcols, x_shape, dout.dtype)
 
     def __repr__(self) -> str:
         return f"MaxPool2d(size={self.size}, stride={self.stride})"
 
 
-class AvgPool2d(Layer):
+class AvgPool2d(_Pool2d):
     """Average pooling with non-overlapping or strided windows."""
 
-    def __init__(self, size: int = 2, stride: int | None = None):
-        if size <= 0:
-            raise ValueError(f"pool size must be positive, got {size}")
-        self.size = size
-        self.stride = stride if stride is not None else size
-        self._cache: tuple | None = None
-
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        n, c, h, w = x.shape
-        s, k = self.stride, self.size
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
-        x_resh = x.reshape(n * c, 1, h, w)
-        cols = im2col(x_resh, k, k, s, 0)
-        out = cols.mean(axis=0)
-        out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
-        if train:
-            self._cache = (x.shape, cols.shape)
-        else:
-            self._cache = None
-        return np.ascontiguousarray(out)
+        cols, ws = self._windows(x)
+        self._cache = (x.shape, cols.shape) if train else None
+        return self._to_map(cols.mean(axis=0), ws, x.shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training forward pass")
         x_shape, cols_shape = self._cache
-        n, c, h, w = x_shape
-        dout_cols = dout.reshape(n * c, dout.shape[2], dout.shape[3])
-        dout_cols = dout_cols.transpose(1, 2, 0).reshape(1, -1)
-        dcols = np.broadcast_to(dout_cols / (self.size * self.size), cols_shape).copy()
-        dx = col2im(dcols, (n * c, 1, h, w), self.size, self.size, self.stride, 0)
-        return dx.reshape(n, c, h, w)
+        row = self._to_row(dout).reshape(1, -1) / (self.size * self.size)
+        dcols = np.broadcast_to(row, cols_shape).copy()
+        return self._fold(dcols, x_shape, dout.dtype)
 
     def __repr__(self) -> str:
         return f"AvgPool2d(size={self.size}, stride={self.stride})"
 
 
-class GlobalAvgPool2d(Layer):
+class GlobalAvgPool2d(_LeadingAxes):
     """Collapse each feature map to its mean: (N,C,H,W) -> (N,C)."""
 
     def __init__(self):
         self._hw: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._hw = x.shape[2:]
-        return x.mean(axis=(2, 3))
+        self._hw = x.shape[-2:]
+        return x.mean(axis=(-2, -1))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._hw is None:
@@ -467,7 +427,7 @@ class GlobalAvgPool2d(Layer):
         h, w = self._hw
         scale = 1.0 / (h * w)
         return np.broadcast_to(
-            (dout * scale)[:, :, None, None], (*dout.shape, h, w)
+            (dout * scale)[..., None, None], (*dout.shape, h, w)
         ).copy()
 
 
@@ -487,7 +447,7 @@ class Flatten(Layer):
         return dout.reshape(self._shape)
 
 
-class ReLU(Layer):
+class ReLU(_LeadingAxes):
     """Rectified linear unit; caches the sign mask for the backward pass."""
 
     def __init__(self):
@@ -508,10 +468,11 @@ class ReLU(Layer):
 class Dropout(Layer):
     """Inverted dropout; identity at evaluation time.
 
-    The cohort path draws each member's mask from that member's own
-    generator (``cohort_rngs``), reproducing per-client serial draws
-    bit-for-bit.  Without ``cohort_rngs`` the layer-owned ``rng`` draws the
-    members' masks in cohort order — a well-defined stream, but not the
+    Without ``cohort_rngs`` the layer-owned ``rng`` draws the members'
+    masks in cohort order; for a cohort of one (``forward``) that is the
+    plain serial stream.  With ``cohort_rngs`` each member's mask comes
+    from that member's own generator, reproducing per-client serial draws
+    bit-for-bit.  A cohort's draws from the shared ``rng`` are not the
     serial backend's call order, which is why the engine keeps rejecting
     non-serial backends for models with layer-owned RNG state.
     """
@@ -525,18 +486,8 @@ class Dropout(Layer):
         self.cohort_rngs: list[np.random.Generator] | None = None
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dout
-        return dout * self._mask
+    forward = _unit_forward
+    backward = _unit_backward
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if not train or self.p == 0.0:
@@ -558,7 +509,9 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward_many(self, dout: np.ndarray) -> np.ndarray:
-        return self.backward(dout)
+        if self._mask is None:
+            return dout
+        return dout * self._mask
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
@@ -568,7 +521,9 @@ class BatchNorm(Layer):
     """Batch normalization for 2-D (N,F) or 4-D (N,C,H,W) activations.
 
     Running statistics are exposed via :meth:`state` so federated averaging
-    can (and does) synchronize them alongside trainable parameters.
+    can (and does) synchronize them alongside trainable parameters; like
+    the parameters, ``running_*_many`` are ``(1, F)`` views of them until
+    :meth:`bind_cohort` gives a template its own stacked buffers.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5,
@@ -582,13 +537,15 @@ class BatchNorm(Layer):
         self.beta = Parameter(np.zeros(num_features, dtype=dtype), f"{name}.beta")
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
-        self._cache: tuple | None = None
-        self.running_mean_many: np.ndarray | None = None
-        self.running_var_many: np.ndarray | None = None
+        self.running_mean_many = self.running_mean[None]
+        self.running_var_many = self.running_var[None]
         self._cache_many: tuple | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
+
+    forward = _unit_forward
+    backward = _unit_backward
 
     def state(self) -> dict[str, np.ndarray]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
@@ -603,60 +560,11 @@ class BatchNorm(Layer):
         )
 
     def state_many(self) -> dict[str, np.ndarray]:
-        if self.running_mean_many is None:
-            return {}
         return {
             "running_mean": self.running_mean_many,
             "running_var": self.running_var_many,
         }
 
-    def _reduce_axes(self, x: np.ndarray) -> tuple[int, ...]:
-        if x.ndim == 2:
-            return (0,)
-        if x.ndim == 4:
-            return (0, 2, 3)
-        raise ValueError(f"BatchNorm supports 2-D or 4-D input, got shape {x.shape}")
-
-    def _expand(self, v: np.ndarray, ndim: int) -> np.ndarray:
-        return v.reshape(1, -1) if ndim == 2 else v.reshape(1, -1, 1, 1)
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        axes = self._reduce_axes(x)
-        if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            m = self.momentum
-            self.running_mean *= m
-            self.running_mean += (1 - m) * mean.astype(np.float64)
-            self.running_var *= m
-            self.running_var += (1 - m) * var.astype(np.float64)
-        else:
-            mean = self.running_mean.astype(x.dtype)
-            var = self.running_var.astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._expand(mean, x.ndim)) * self._expand(inv_std, x.ndim)
-        out = self._expand(self.gamma.data, x.ndim) * x_hat + self._expand(self.beta.data, x.ndim)
-        if train:
-            self._cache = (x_hat, inv_std, axes, x.shape)
-        else:
-            self._cache = None
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        x_hat, inv_std, axes, x_shape = self._cache
-        m = float(np.prod([x_shape[a] for a in axes]))
-        self.gamma.grad += (dout * x_hat).sum(axis=axes)
-        self.beta.grad += dout.sum(axis=axes)
-        g = self._expand(self.gamma.data, dout.ndim)
-        dxhat = dout * g
-        term1 = dxhat
-        term2 = self._expand(dxhat.sum(axis=axes) / m, dout.ndim)
-        term3 = x_hat * self._expand((dxhat * x_hat).sum(axis=axes) / m, dout.ndim)
-        return (term1 - term2 - term3) * self._expand(inv_std.astype(dout.dtype), dout.ndim)
-
-    # -- cohort-batched kernels -------------------------------------------
     @staticmethod
     def _reduce_axes_many(x: np.ndarray) -> tuple[int, ...]:
         if x.ndim == 3:
@@ -664,7 +572,7 @@ class BatchNorm(Layer):
         if x.ndim == 5:
             return (1, 3, 4)
         raise ValueError(
-            f"cohort BatchNorm supports (C,N,F) or (C,N,Ch,H,W), got {x.shape}"
+            f"BatchNorm supports 2-D or 4-D input per model, got shape {x.shape[1:]}"
         )
 
     @staticmethod

@@ -9,9 +9,11 @@ from repro.utils.maths import softmax
 __all__ = [
     "softmax_cross_entropy",
     "softmax_cross_entropy_many",
-    "mse_loss",
     "accuracy",
 ]
+
+#: keeps ``log`` finite when a target probability underflows to zero
+_TINY = np.finfo(np.float64).tiny
 
 
 def softmax_cross_entropy(
@@ -20,30 +22,19 @@ def softmax_cross_entropy(
     """Mean softmax cross-entropy over a batch of integer labels.
 
     Returns the scalar loss and the gradient w.r.t. ``logits`` (already
-    divided by batch size, ready to feed into ``model.backward``).
+    divided by batch size, ready to feed into ``model.backward``): the
+    cohort kernel :func:`softmax_cross_entropy_many` on a cohort of one.
     """
-    logits = np.asarray(logits)
-    labels = np.asarray(labels).astype(np.int64)
-    if logits.ndim != 2:
-        raise ValueError(f"expected (N, classes) logits, got {logits.shape}")
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} incompatible with logits {logits.shape}"
-        )
-    n = logits.shape[0]
-    probs = softmax(logits, axis=1)
-    eps = np.finfo(np.float64).tiny
-    loss = float(-np.log(probs[np.arange(n), labels] + eps).mean())
-    dlogits = probs
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits.astype(logits.dtype)
+    losses, dlogits = softmax_cross_entropy_many(
+        np.asarray(logits)[None], np.asarray(labels)[None]
+    )
+    return float(losses[0]), dlogits[0]
 
 
 def softmax_cross_entropy_many(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cohort-batched :func:`softmax_cross_entropy`.
+    """Cohort-batched softmax cross-entropy.
 
     Args:
         logits: ``(C, N, classes)`` stacked logits (one slice per cohort
@@ -52,40 +43,29 @@ def softmax_cross_entropy_many(
 
     Returns:
         ``(losses, dlogits)`` where ``losses`` is the ``(C,)`` per-member
-        mean loss and ``dlogits`` the ``(C, N, classes)`` gradient, each
-        slice exactly the scalar function's math (same eps, same ``1/N``
-        scaling, same dtype cast).
+        mean loss and ``dlogits`` the ``(C, N, classes)`` gradient, divided
+        by ``N`` and cast to the logits' dtype.
     """
     logits = np.asarray(logits)
     labels = np.asarray(labels).astype(np.int64)
     if logits.ndim != 3:
-        raise ValueError(f"expected (C, N, classes) logits, got {logits.shape}")
+        raise ValueError(
+            f"expected (N, classes) logits per model, got {logits.shape[1:]}"
+        )
     if labels.shape != logits.shape[:2]:
         raise ValueError(
-            f"labels shape {labels.shape} incompatible with logits {logits.shape}"
+            f"labels shape {labels.shape[1:]} incompatible with logits "
+            f"{logits.shape[1:]}"
         )
     c, n = labels.shape
     probs = softmax(logits, axis=-1)
-    rows = np.arange(c)[:, None]
-    cols = np.arange(n)[None, :]
-    eps = np.finfo(np.float64).tiny
-    losses = -np.log(probs[rows, cols, labels] + eps).mean(axis=1)
+    rows = probs.reshape(c * n, -1)
+    target = (np.arange(c * n), labels.ravel())
+    losses = -np.log(rows[target] + _TINY).reshape(c, n).mean(axis=1)
     dlogits = probs
-    dlogits[rows, cols, labels] -= 1.0
+    rows[target] -= 1.0
     dlogits /= n
     return losses, dlogits.astype(logits.dtype)
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. ``pred``."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    loss = float((diff**2).mean())
-    grad = (2.0 / diff.size) * diff
-    return loss, grad
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

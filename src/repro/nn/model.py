@@ -4,11 +4,12 @@ execution backend."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.layers import Layer, _unit_backward, _unit_forward
 from repro.nn.parameter import Parameter
 
 __all__ = ["Sequential", "Residual", "CohortModel"]
@@ -42,29 +43,8 @@ class Residual(Layer):
             _, idx, sub = key.split(".", 2)
             self.body[int(idx)].load_state({sub: value})
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        out = x
-        for layer in self.body:
-            out = layer.forward(out, train)
-        if out.shape != x.shape:
-            raise ValueError(
-                f"Residual body changed shape {x.shape} -> {out.shape}; "
-                "identity shortcut requires shape preservation"
-            )
-        summed = out + x
-        mask = summed > 0
-        if train:
-            self._mask = mask
-        return np.where(mask, summed, 0.0)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training forward pass")
-        dsum = dout * self._mask
-        dbody = dsum
-        for layer in reversed(self.body):
-            dbody = layer.backward(dbody)
-        return dbody + dsum
+    forward = _unit_forward
+    backward = _unit_backward
 
     # -- cohort-batched kernel path ---------------------------------------
     def bind_cohort(self, cohort: int) -> None:
@@ -157,10 +137,7 @@ class Sequential:
 
     # -- compute -----------------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, train)
-        return out
+        return self.forward_many(x[None], train)[0]
 
     def backward(
         self, dout: np.ndarray, need_input_grad: bool = True
@@ -173,24 +150,47 @@ class Sequential:
         convolution, the col2im scatter), and None is returned.  Parameter
         gradients are bitwise identical either way.
         """
-        grad = dout
-        for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
-        if need_input_grad:
-            return self.layers[0].backward(grad)
-        self.layers[0].backward_params_only(grad)
-        return None
+        dx = self.backward_many(dout[None], need_input_grad)
+        return None if dx is None else dx[0]
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Evaluation-mode forward in batches; returns logits."""
-        if x.shape[0] <= batch_size:
+        return self.predict_many(x[None], batch_size)[0]
+
+    # The cohort forms below are the one implementation: the single-model
+    # methods above run them as a cohort of one, on the layers' own
+    # parameters, and CohortModel runs them on a cohort-bound template.
+    def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """Forward over ``(cohort, N, ...)`` input."""
+        out = x
+        for layer in self.layers:
+            out = layer.forward_many(out, train)
+        return out
+
+    def backward_many(
+        self, dout: np.ndarray, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Cohort form of :meth:`backward`."""
+        grad = dout
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward_many(grad)
+        if need_input_grad:
+            return self.layers[0].backward_many(grad)
+        self.layers[0].backward_many_params_only(grad)
+        return None
+
+    def predict_many(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+        """Evaluation-mode forward in chunks along the sample axis."""
+        if x.shape[1] <= batch_size:
             # One forward for small sets: skips the single-element
             # concatenate, which would copy the whole logits array.
-            return self.forward(x, train=False)
+            return self.forward_many(x, train=False)
         outs = []
-        for start in range(0, x.shape[0], batch_size):
-            outs.append(self.forward(x[start : start + batch_size], train=False))
-        return np.concatenate(outs, axis=0)
+        for start in range(0, x.shape[1], batch_size):
+            outs.append(
+                self.forward_many(x[:, start : start + batch_size], train=False)
+            )
+        return np.concatenate(outs, axis=1)
 
     # -- state -------------------------------------------------------------
     def state(self) -> dict[str, np.ndarray]:
@@ -222,8 +222,10 @@ class CohortModel:
     buffers.
 
     The template must be exclusively owned (its regular ``data``/``grad``
-    and caches are unused but its cohort storage and layer caches are
-    mutated on every call); never wrap an engine's shared work model.
+    are unused but its cohort storage and layer caches are mutated on
+    every call); never wrap an engine's shared work model.  :meth:`unit`
+    is the exception: it views a model as a cohort of one over its own
+    parameters, without binding.
     """
 
     def __init__(self, template: Sequential, cohort: int):
@@ -233,7 +235,17 @@ class CohortModel:
         self.cohort = int(cohort)
         for layer in template.layers:
             layer.bind_cohort(cohort)
-        self.num_params = template.num_parameters()
+
+    @classmethod
+    def unit(cls, model: Sequential) -> "CohortModel":
+        """``model`` as a cohort of one that trains its own parameters."""
+        cm = cls.__new__(cls)
+        cm.template, cm.cohort = model, 1
+        return cm
+
+    @cached_property
+    def num_params(self) -> int:
+        return self.template.num_parameters()
 
     # -- structure ---------------------------------------------------------
     def parameters(self) -> list[Parameter]:
@@ -283,10 +295,7 @@ class CohortModel:
     # -- compute -----------------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Batched forward over ``(cohort, N, ...)`` input."""
-        out = x
-        for layer in self.template.layers:
-            out = layer.forward_many(out, train)
-        return out
+        return self.template.forward_many(x, train)
 
     def backward(self, dout: np.ndarray, need_input_grad: bool = False) -> np.ndarray | None:
         """Cohort backward.  With ``need_input_grad=False`` (the training
@@ -294,25 +303,11 @@ class CohortModel:
         skips its dx — for convolutions that drops the col2im scatter, the
         single most expensive backward kernel.  Parameter gradients are
         bitwise identical either way."""
-        grad = dout
-        layers = self.template.layers
-        for layer in reversed(layers[1:]):
-            grad = layer.backward_many(grad)
-        if need_input_grad:
-            return layers[0].backward_many(grad)
-        layers[0].backward_many_params_only(grad)
-        return None
+        return self.template.backward_many(dout, need_input_grad)
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Evaluation-mode forward in chunks along the sample axis."""
-        if x.shape[1] <= batch_size:
-            return self.forward(x, train=False)
-        outs = []
-        for start in range(0, x.shape[1], batch_size):
-            outs.append(
-                self.forward(x[:, start : start + batch_size], train=False)
-            )
-        return np.concatenate(outs, axis=1)
+        return self.template.predict_many(x, batch_size)
 
     # -- state -------------------------------------------------------------
     def state_many(self) -> dict[str, np.ndarray]:

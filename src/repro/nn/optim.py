@@ -1,10 +1,11 @@
 """Optimizers and learning-rate schedules for local client training.
 
-``SGD`` covers everything the paper's experiments need: momentum, weight
-decay, and an optional FedProx proximal term ``(mu/2)||w - w_ref||^2`` folded
-into the gradient, which is how FedProx modifies the client objective.
-``Adam`` and the schedules are library extensions for users training the
-NumPy models outside the federated loop.
+``CohortSGD`` covers everything the paper's experiments need: momentum,
+weight decay, and an optional FedProx proximal term ``(mu/2)||w - w_ref||^2``
+folded into the gradient, which is how FedProx modifies the client
+objective.  ``SGD`` is the same update on a single model, run as a cohort
+of one.  ``Adam`` and the schedules are library extensions for users
+training the NumPy models outside the federated loop.
 """
 
 from __future__ import annotations
@@ -16,86 +17,18 @@ from repro.nn.model import CohortModel, Sequential
 __all__ = ["SGD", "CohortSGD", "Adam", "step_decay", "cosine_schedule"]
 
 
-class SGD:
-    """Stochastic gradient descent with momentum / weight decay / prox term."""
-
-    def __init__(
-        self,
-        model: Sequential,
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        prox_mu: float = 0.0,
-    ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0 or prox_mu < 0:
-            raise ValueError("weight_decay and prox_mu must be non-negative")
-        self.model = model
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.prox_mu = prox_mu
-        self._velocity = [np.zeros_like(p.data) for p in model.parameters()]
-        self._prox_center: list[np.ndarray] | None = None
-
-    def set_prox_center(self, center: list[np.ndarray] | None) -> None:
-        """Anchor of the proximal term (the global model in FedProx)."""
-        if center is not None:
-            params = self.model.parameters()
-            if len(center) != len(params):
-                raise ValueError(
-                    f"prox center has {len(center)} tensors, model has {len(params)}"
-                )
-            for c, p in zip(center, params):
-                if c.shape != p.shape:
-                    raise ValueError(
-                        f"prox center shape {c.shape} != parameter shape {p.shape}"
-                    )
-        self._prox_center = center
-
-    def step(self) -> None:
-        """Apply one update from the currently accumulated gradients."""
-        params = self.model.parameters()
-        for i, p in enumerate(params):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.prox_mu and self._prox_center is not None:
-                g = g + self.prox_mu * (p.data - self._prox_center[i])
-            if self.momentum:
-                v = self._velocity[i]
-                v *= self.momentum
-                v += g
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * g
-
-    def zero_grad(self) -> None:
-        self.model.zero_grad()
-
-    def reset_state(self) -> None:
-        """Clear momentum buffers (clients restart momentum each round)."""
-        for v in self._velocity:
-            v.fill(0.0)
-
-
 class CohortSGD:
     """Fused SGD across a cohort of stacked models (:class:`CohortModel`).
 
     One axpy-style update per *layer tensor* applies every cohort member's
-    step at once (the velocity/weight-decay/prox algebra runs on the whole
-    ``(cohort, *shape)`` stack).  All arithmetic is elementwise with the
-    same operand order and dtypes as :class:`SGD.step`, so for identical
-    gradients each member's update is bitwise what its serial counterpart
-    would compute.
+    step at once: the velocity/weight-decay/prox algebra is elementwise on
+    the whole ``(cohort, *shape)`` stack, so each member's update is bitwise
+    what it would be alone.
     """
 
     def __init__(
         self,
-        model: CohortModel,
+        model: CohortModel | Sequential,
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
@@ -159,6 +92,32 @@ class CohortSGD:
         """Clear momentum buffers (clients restart momentum each round)."""
         for v in self._velocity:
             v.fill(0.0)
+
+
+class SGD(CohortSGD):
+    """Stochastic gradient descent with momentum / weight decay / prox term
+    on one :class:`Sequential`: :class:`CohortSGD` on the model's own
+    parameters as a cohort of one."""
+
+    def set_prox_center(self, center: list[np.ndarray] | None) -> None:
+        """Anchor of the proximal term (the global model in FedProx), one
+        array per parameter."""
+        if center is not None:
+            params = self.model.parameters()
+            if len(center) != len(params):
+                raise ValueError(
+                    f"prox center has {len(center)} tensors, model has {len(params)}"
+                )
+            for c, p in zip(center, params):
+                if c.shape != p.shape:
+                    raise ValueError(
+                        f"prox center shape {c.shape} != parameter shape {p.shape}"
+                    )
+            center = [c[None] for c in center]
+        self._prox_center = center
+
+    # an own attribute, so tracing SGD.step leaves CohortSGD.step alone
+    step = CohortSGD.step
 
 
 class Adam:

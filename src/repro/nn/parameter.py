@@ -14,10 +14,12 @@ class Parameter:
     ``backward`` and optimizers read/clear it.  ``data`` and ``grad`` always
     share dtype and shape.
 
-    A parameter may additionally be *cohort-bound* (:meth:`bind_cohort`):
-    ``many``/``grad_many`` then hold ``(cohort, *shape)`` stacked values for
-    the vectorized execution path (one slice per client model), while
-    ``data``/``grad`` keep serving the serial path untouched.
+    The layer kernels work on a leading cohort axis: ``many``/``grad_many``
+    hold ``(cohort, *shape)`` stacked values, one slice per client model.
+    By default a parameter is a cohort of one whose ``many``/``grad_many``
+    are ``(1, *shape)`` views of ``data``/``grad``, so the kernels train
+    ``data`` in place.  :meth:`bind_cohort` gives a template its own
+    stacked storage instead, leaving ``data``/``grad`` untouched.
     """
 
     __slots__ = ("name", "data", "grad", "many", "grad_many")
@@ -26,8 +28,8 @@ class Parameter:
         self.name = name
         self.data = np.ascontiguousarray(data)
         self.grad = np.zeros_like(self.data)
-        self.many: np.ndarray | None = None
-        self.grad_many: np.ndarray | None = None
+        self.many = self.data[None]
+        self.grad_many = self.grad[None]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -42,6 +44,11 @@ class Parameter:
         """Bytes occupied by the value (what a client would transmit)."""
         return int(self.data.nbytes)
 
+    @property
+    def cohort_bound(self) -> bool:
+        """True once :meth:`bind_cohort` has given ``many`` its own storage."""
+        return not np.may_share_memory(self.many, self.data)
+
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
@@ -53,8 +60,6 @@ class Parameter:
         self.grad_many = np.zeros_like(self.many)
 
     def zero_grad_many(self) -> None:
-        if self.grad_many is None:
-            raise RuntimeError(f"parameter {self.name!r} is not cohort-bound")
         self.grad_many.fill(0.0)
 
     def copy_(self, value: np.ndarray) -> None:

@@ -1,15 +1,18 @@
 """Cohort-batched kernel contracts: the ``vector`` backend's numeric spine.
 
-Property tests (hypothesis) pin the tentpole guarantee layer by layer:
-``forward_many``/``backward_many`` on a stacked cohort equals per-member
-serial ``forward``/``backward`` within :data:`COHORT_RTOL`, including
-BatchNorm's train-mode running statistics and Dropout's seeded per-member
-masks (those two are *bitwise*).  Workspace-reuse tests assert the
-pre-allocated scratch — cohort conv workspaces, codec encode buffers — is
-the *same object* across calls for a fixed shape, and the bitwise tests pin
-the claims the optimized kernels make in their docstrings (slice-copy
-gather == im2col, slice-add scatter == col2im, MaxPool's backward over
-disjoint windows, and ``backward_many_params_only``'s gradients).
+The single-model ``forward``/``backward`` entry points run the cohort
+kernels as a cohort of one, so a stacked cohort must reproduce each
+member's serial result *bitwise*.  Property tests (hypothesis) pin that
+layer by layer, including BatchNorm's train-mode running statistics and
+Dropout's seeded per-member masks, and whole-model parity tests pin it for
+the model zoo.  Aliasing tests pin the unit binding: a fresh parameter's
+``many`` is a view of its ``data`` through every way the library writes
+``data``.  Workspace-reuse tests assert the pre-allocated scratch — cohort
+conv workspaces, codec encode buffers — is the *same object* across calls
+for a fixed shape, and the bitwise tests pin the claims the optimized
+kernels make in their docstrings (gather == im2col per member, scatter ==
+col2im per member, MaxPool's backward over disjoint windows, and
+``backward_many_params_only``'s gradients).
 """
 
 from __future__ import annotations
@@ -30,23 +33,21 @@ from repro.nn.layers import (
     Dropout,
     Flatten,
     GlobalAvgPool2d,
+    Layer,
     MaxPool2d,
     ReLU,
 )
+from repro.experiments.configs import SMOKE_SCALE
+from repro.experiments.runner import build_cell, resume_cell
 from repro.nn.model import CohortModel, Sequential
+from repro.nn.models import build_model
 from repro.nn.optim import SGD, CohortSGD
-
-#: pinned tolerance of the cohort kernels vs the serial per-member kernels:
-#: the only numeric difference is batched-GEMM reduction order, so the
-#: bound is far tighter than the backend-level VECTOR_* tolerances
-COHORT_RTOL = 1e-7
-COHORT_ATOL = 1e-9
+from repro.nn.parameter import Parameter
+from repro.nn.serialization import flatten_params, unflatten_params
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
-
-def _close(actual, expected):
-    np.testing.assert_allclose(actual, expected, rtol=COHORT_RTOL, atol=COHORT_ATOL)
+_equal = np.testing.assert_array_equal
 
 
 def _load_members(template, members):
@@ -74,10 +75,10 @@ class TestDenseCohort:
         out_many = template.forward_many(x)
         dx_many = template.backward_many(dout)
         for c, m in enumerate(members):
-            _close(out_many[c], m.forward(x[c]))
-            _close(dx_many[c], m.backward(dout[c]))
-            _close(template.w.grad_many[c], m.w.grad)
-            _close(template.b.grad_many[c], m.b.grad)
+            _equal(out_many[c], m.forward(x[c]))
+            _equal(dx_many[c], m.backward(dout[c]))
+            _equal(template.w.grad_many[c], m.w.grad)
+            _equal(template.b.grad_many[c], m.b.grad)
 
     def test_params_only_grads_bitwise(self):
         rng = np.random.default_rng(5)
@@ -121,10 +122,10 @@ class TestConv2dCohort:
         dout = rng.standard_normal(out_many.shape)
         dx_many = template.backward_many(dout)
         for c, m in enumerate(members):
-            _close(out_many[c], m.forward(x[c]))
-            _close(dx_many[c], m.backward(dout[c]))
-            _close(template.w.grad_many[c], m.w.grad)
-            _close(template.b.grad_many[c], m.b.grad)
+            _equal(out_many[c], m.forward(x[c]))
+            _equal(dx_many[c], m.backward(dout[c]))
+            _equal(template.w.grad_many[c], m.w.grad)
+            _equal(template.b.grad_many[c], m.b.grad)
 
     def test_params_only_grads_bitwise(self):
         rng = np.random.default_rng(6)
@@ -188,8 +189,8 @@ class TestBatchNormCohort:
             dout = rng.standard_normal((cohort, n, f))
             dx_many = template.backward_many(dout)
             for c, m in enumerate(members):
-                _close(out_many[c], m.forward(x[c]))
-                _close(dx_many[c], m.backward(dout[c]))
+                _equal(out_many[c], m.forward(x[c]))
+                _equal(dx_many[c], m.backward(dout[c]))
         for c, m in enumerate(members):
             np.testing.assert_array_equal(
                 template.running_mean_many[c], m.running_mean
@@ -197,13 +198,13 @@ class TestBatchNormCohort:
             np.testing.assert_array_equal(
                 template.running_var_many[c], m.running_var
             )
-            _close(template.gamma.grad_many[c], m.gamma.grad)
-            _close(template.beta.grad_many[c], m.beta.grad)
+            _equal(template.gamma.grad_many[c], m.gamma.grad)
+            _equal(template.beta.grad_many[c], m.beta.grad)
         # eval mode normalizes with each member's own running statistics
         xe = rng.standard_normal((cohort, n, f))
         oute = template.forward_many(xe, train=False)
         for c, m in enumerate(members):
-            _close(oute[c], m.forward(xe[c], train=False))
+            _equal(oute[c], m.forward(xe[c], train=False))
 
     def test_4d_activations(self):
         rng = np.random.default_rng(2)
@@ -216,8 +217,8 @@ class TestBatchNormCohort:
         dout = rng.standard_normal(x.shape)
         dx_many = template.backward_many(dout)
         for c, m in enumerate(members):
-            _close(out_many[c], m.forward(x[c]))
-            _close(dx_many[c], m.backward(dout[c]))
+            _equal(out_many[c], m.forward(x[c]))
+            _equal(dx_many[c], m.backward(dout[c]))
             np.testing.assert_array_equal(
                 template.running_mean_many[c], m.running_mean
             )
@@ -256,32 +257,21 @@ class TestCohortConvWorkspace:
         c, n, ch, h, w, k = 2, 3, 2, 6, 6, 3
         x = rng.standard_normal((c, n, ch, h, w))
         ws = CohortConvWorkspace(x.shape, x.dtype, k, k, stride, pad)
-        cols = ws.gather(x)  # (C, ckk, N*L) with column index n*L + l
+        cols = ws.gather(x)  # (C, ckk, L*N): each member in im2col's layout
         for ci in range(c):
-            ref = im2col(x[ci], k, k, stride, pad)  # (ckk, L*N), col l*N + n
-            got = (
-                cols[ci]
-                .reshape(ws.patch_len, n, ws.out_len)
-                .transpose(0, 2, 1)
-                .reshape(ws.patch_len, -1)
+            np.testing.assert_array_equal(
+                cols[ci], im2col(x[ci], k, k, stride, pad)
             )
-            np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
     def test_scatter_matches_col2im_bitwise(self, stride, pad):
         rng = np.random.default_rng(1)
         c, n, ch, h, w, k = 2, 3, 2, 6, 6, 3
         ws = CohortConvWorkspace((c, n, ch, h, w), np.float64, k, k, stride, pad)
-        dcols = rng.standard_normal((c, ws.patch_len, n * ws.out_len))
+        dcols = rng.standard_normal((c, ws.patch_len, ws.out_len * n))
         dx = ws.scatter(dcols)  # (C, N, ch, H, W)
         for ci in range(c):
-            serial_cols = (
-                dcols[ci]
-                .reshape(ws.patch_len, n, ws.out_len)
-                .transpose(0, 2, 1)
-                .reshape(ws.patch_len, -1)
-            )
-            ref = col2im(serial_cols, (n, ch, h, w), k, k, stride, pad)
+            ref = col2im(dcols[ci], (n, ch, h, w), k, k, stride, pad)
             np.testing.assert_array_equal(dx[ci], ref)
 
     def test_scatter_returns_fresh_array(self):
@@ -468,7 +458,7 @@ class TestCohortModelAndSGD:
                 o.step()
         stacked = cm.flatten()
         for c, m in enumerate(members):
-            _close(stacked[c], _flat(m))
+            _equal(stacked[c], _flat(m))
 
     def test_backward_dx_matches_members(self):
         cohort, n, classes = 2, 4, 3
@@ -482,7 +472,7 @@ class TestCohortModelAndSGD:
         dx_many = cm.backward(dout, need_input_grad=True)
         for c, m in enumerate(members):
             m.forward(x[c])
-            _close(dx_many[c], m.backward(dout[c]))
+            _equal(dx_many[c], m.backward(dout[c]))
 
     def test_params_only_backward_grads_bitwise(self):
         """The training default (``need_input_grad=False``) returns None,
@@ -503,3 +493,161 @@ class TestCohortModelAndSGD:
         assert cm.backward(dout) is None
         for p, g in zip(cm.parameters(), full):
             np.testing.assert_array_equal(p.grad_many, g)
+
+
+def _zoo_member(name, seed):
+    """A float32 zoo model on 3x8x8 inputs; ``mlp_dropout`` adds a
+    Dropout whose generator is seeded ``1000 + seed``."""
+    rng = np.random.default_rng(seed)
+    if name == "mlp_dropout":
+        return Sequential(
+            Flatten(),
+            Dense(3 * 8 * 8, 16, rng, name="fc1"),
+            ReLU(),
+            Dropout(0.3, np.random.default_rng(1000 + seed)),
+            Dense(16, 5, rng, name="head", classifier_head=True),
+        )
+    return build_model(name, 5, (3, 8, 8), rng=rng)
+
+
+class TestCohortOfOneParity:
+    """A cohort member computes bitwise what the serial entry points
+    compute for that model alone: logits, dx, every parameter gradient,
+    running statistics and eval-mode logits."""
+
+    @pytest.mark.parametrize("cohort", [1, 3])
+    @pytest.mark.parametrize(
+        "name", ["lenet5", "vgg_mini", "resnet9", "mlp_dropout"]
+    )
+    def test_members_match_serial_bitwise(self, name, cohort):
+        members = [_zoo_member(name, 10 + c) for c in range(cohort)]
+        cm = CohortModel(_zoo_member(name, 0), cohort)
+        cm.load_flat(np.stack([flatten_params(m) for m in members]))
+        for layer in cm.template.layers:
+            if isinstance(layer, Dropout):
+                layer.cohort_rngs = [
+                    np.random.default_rng(1010 + c) for c in range(cohort)
+                ]
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((cohort, 4, 3, 8, 8)).astype(np.float32)
+        logits = cm.forward(x)
+        dout = rng.standard_normal(logits.shape).astype(np.float32)
+        dx = cm.backward(dout, need_input_grad=True)
+        states = cm.states()
+        for c, m in enumerate(members):
+            _equal(logits[c], m.forward(x[c]))
+            _equal(dx[c], m.backward(dout[c]))
+            for tp, mp in zip(cm.parameters(), m.parameters()):
+                _equal(tp.grad_many[c], mp.grad)
+            for key, buf in m.state().items():
+                _equal(states[c][key], buf)
+        eval_logits = cm.predict(x)
+        for c, m in enumerate(members):
+            _equal(eval_logits[c], m.predict(x[c]))
+
+
+def _assert_unit_bound(model):
+    """Every parameter and BatchNorm buffer of ``model`` is its own
+    cohort of one: the stacked form views the serial storage."""
+    for p in model.parameters():
+        assert np.shares_memory(p.many, p.data)
+        assert np.shares_memory(p.grad_many, p.grad)
+        assert not p.cohort_bound
+    for layer in model.layers:
+        for sub in getattr(layer, "body", [layer]):
+            if isinstance(sub, BatchNorm):
+                assert np.shares_memory(sub.running_mean_many, sub.running_mean)
+                assert np.shares_memory(sub.running_var_many, sub.running_var)
+
+
+class TestUnitBinding:
+    def test_views_survive_every_write_path(self):
+        model = build_model("resnet9", 5, (3, 8, 8), rng=0)
+        _assert_unit_bound(model)
+        p = model.parameters()[0]
+        p.copy_(np.full(p.shape, 0.5))
+        _assert_unit_bound(model)
+        _equal(p.many[0], p.data)
+        flat = np.random.default_rng(0).standard_normal(model.num_parameters())
+        unflatten_params(model, flat)
+        _assert_unit_bound(model)
+        _equal(CohortModel.unit(model).flatten()[0], flatten_params(model))
+        model.load_state({k: v + 1.0 for k, v in model.state().items()})
+        _assert_unit_bound(model)
+
+    def test_views_survive_checkpoint_restore(self, tmp_path):
+        algo = build_cell(
+            "cifar100", "fedavg", "label_skew_20", SMOKE_SCALE,
+            config_overrides={
+                "rounds": 2, "checkpoint_every": 1,
+                "checkpoint_dir": str(tmp_path),
+            },
+        )
+        algo.run()
+        resumed = resume_cell(tmp_path / "round-000001.ckpt").algorithm
+        _assert_unit_bound(resumed._model)
+
+    def test_cohort_bound_template_does_not_alias(self):
+        template = build_model("resnet9", 5, (3, 8, 8), rng=0)
+        data = [p.data.copy() for p in template.parameters()]
+        cm = CohortModel(template, 3)
+        for p, before in zip(cm.parameters(), data):
+            assert p.cohort_bound
+            assert not np.shares_memory(p.many, p.data)
+            assert not np.shares_memory(p.grad_many, p.grad)
+            assert p.many.shape == (3, *p.shape)
+        states = cm.state_many()
+        for key, buf in template.state().items():
+            assert not np.shares_memory(states[key], buf)
+        cm.load_flat(np.ones((3, cm.num_params)))
+        for p, before in zip(cm.parameters(), data):
+            _equal(p.data, before)
+
+
+class _Scale(Layer):
+    """A third-party parametric layer written against the single-model API
+    only: ``y = x * s`` with one learned scale per feature."""
+
+    def __init__(self, features):
+        self.s = Parameter(np.full(features, 2.0), "scale.s")
+        self._x = None
+
+    def parameters(self):
+        return [self.s]
+
+    def forward(self, x, train=True):
+        self._x = x
+        return x * self.s.data
+
+    def backward(self, dout):
+        self.s.grad += (dout * self._x).sum(axis=0)
+        return dout * self.s.data
+
+
+class TestThirdPartyLayer:
+    """A layer without cohort kernels still runs in a Sequential (on its
+    own parameters, as a cohort of one); only cohort calls reject it."""
+
+    def test_single_model_layer_trains_in_a_sequential(self):
+        rng = np.random.default_rng(0)
+        scale, head = _Scale(4), Dense(4, 3, rng, dtype=np.float64)
+        model = Sequential(scale, head)
+        assert not scale.supports_cohort()
+        x = rng.standard_normal((5, 4))
+        dout = np.ones((5, 3))
+        out = model.forward(x)
+        dx = model.backward(dout)
+        _equal(out, head.forward(x * 2.0))
+        dhead = head.backward(dout)
+        _equal(scale.s.grad, (dhead * x).sum(axis=0))
+        _equal(dx, dhead * 2.0)
+        SGD(model, lr=0.1).step()
+        _equal(scale.s.data, 2.0 - 0.1 * scale.s.grad)
+
+    def test_cohort_call_without_kernel_rejected(self):
+        scale = _Scale(4)
+        with pytest.raises(NotImplementedError, match="no cohort kernel"):
+            scale.forward_many(np.zeros((3, 2, 4)))
+        scale.bind_cohort(1)
+        with pytest.raises(NotImplementedError, match="no cohort kernel"):
+            scale.forward_many(np.zeros((1, 2, 4)))

@@ -23,9 +23,6 @@ from repro.data import build_federated_dataset, make_dataset
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
     BACKENDS,
-    VECTOR_ACC_ATOL,
-    VECTOR_LOSS_RTOL,
-    VECTOR_PARAM_RTOL,
     ClientSlots,
     CohortRunner,
     ProcessBackend,
@@ -305,11 +302,11 @@ class TestCliEnvHygiene:
 
 class TestVectorBackendEquivalence:
     """The opt-in ``vector`` backend stacks same-shape client models into
-    one cohort tensor and runs batched kernels; histories must stay within
-    the pinned tolerances (``VECTOR_*`` in ``repro.fl.execution``) across
-    algorithm families, with byte metering exact.  Families whose client
-    hooks are overridden (ifca, scaffold) serial-fallback by design and
-    come out bit-for-bit."""
+    one cohort tensor and runs batched kernels.  The serial path runs the
+    same kernels as a cohort of one, so histories and parameters must be
+    bit-for-bit the serial ones across algorithm families.  Families whose
+    client hooks are overridden (ifca, scaffold) serial-fallback by
+    design."""
 
     @pytest.mark.parametrize("method,extra", [
         ("fedavg", {}),
@@ -322,17 +319,13 @@ class TestVectorBackendEquivalence:
     def test_within_pinned_tolerance_vs_serial(self, fed, method, extra):
         hs, algo_s = run_one(fed, method, "serial", 0, **extra)
         hv, algo_v = run_one(fed, method, "vector", 0, **extra)
-        np.testing.assert_allclose(
-            hv.accuracies, hs.accuracies, atol=VECTOR_ACC_ATOL
-        )
-        np.testing.assert_allclose(hv.losses, hs.losses, rtol=VECTOR_LOSS_RTOL)
-        # the wire path is outside the batched compute: metering is exact
+        np.testing.assert_array_equal(hv.accuracies, hs.accuracies)
+        np.testing.assert_array_equal(hv.losses, hs.losses)
         np.testing.assert_array_equal(hv.cumulative_mb, hs.cumulative_mb)
         for cid in range(fed.num_clients):
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 algo_v.eval_params_for_client(cid),
                 algo_s.eval_params_for_client(cid),
-                rtol=VECTOR_PARAM_RTOL, atol=1e-8,
             )
 
     def test_batched_kernels_actually_run(self, fed, monkeypatch):
@@ -410,10 +403,9 @@ class TestVectorBackendEquivalence:
 
 class TestVectorGoldenTolerance:
     """Acceptance pin: vector histories match the committed *serial*
-    goldens (tests/data/golden_registry.json) within the documented
-    tolerance — accuracy at ``VECTOR_ACC_ATOL``, train loss at
-    ``VECTOR_LOSS_RTOL``, byte counters and extras exact, ``sim_seconds``
-    at the golden rtol."""
+    goldens (tests/data/golden_registry.json) exactly — accuracy, train
+    loss, byte counters and extras — with ``sim_seconds`` at the golden
+    rtol."""
 
     #: golden cases whose client recipe the CohortRunner batches; hook-
     #: overridden or non-serial-backend cases are exercised bit-for-bit
@@ -442,14 +434,8 @@ class TestVectorGoldenTolerance:
             (DATA_DIR / "golden_registry.json").read_text()
         )[case]
         d = history.as_dict()
-        np.testing.assert_allclose(
-            d["accuracy"], golden["accuracy"], atol=VECTOR_ACC_ATOL
-        )
-        np.testing.assert_allclose(
-            d["train_loss"], golden["train_loss"], rtol=VECTOR_LOSS_RTOL
-        )
-        for key in ("cumulative_mb", "upload_bytes", "download_bytes",
-                    "extras"):
+        for key in ("accuracy", "train_loss", "cumulative_mb",
+                    "upload_bytes", "download_bytes", "extras"):
             assert d[key] == golden[key], (
                 f"{case}.{key} diverged from the serial golden"
             )

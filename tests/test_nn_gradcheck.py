@@ -21,7 +21,6 @@ from repro.nn import (
     ReLU,
     Residual,
     Sequential,
-    mse_loss,
     softmax_cross_entropy,
 )
 
@@ -247,17 +246,6 @@ class TestLosses:
         logits = np.zeros((4, 10))
         loss, _ = softmax_cross_entropy(logits, np.zeros(4, dtype=int))
         np.testing.assert_allclose(loss, np.log(10), rtol=1e-10)
-
-    def test_mse_gradcheck(self):
-        pred = RNG.normal(size=(5, 3))
-        target = RNG.normal(size=(5, 3))
-
-        def loss():
-            return mse_loss(pred, target)[0]
-
-        _, grad = mse_loss(pred, target)
-        num = numerical_grad(loss, pred)
-        np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-8)
 
     def test_label_shape_validation(self):
         with pytest.raises(ValueError):

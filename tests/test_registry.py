@@ -381,17 +381,6 @@ class TestFlatOptions:
         assert cfg.codec == "topk" and cfg.topk_frac == 0.1
         assert cfg.extra["net_mbps"] == 10.0
 
-    def test_run_cell_fl_options_matches_legacy_kwargs(self):
-        kwargs = dict(codec="topk", topk_frac=0.2, network="uniform")
-        legacy = run_cell("cifar10", "fedavg", "label_skew_20", SMOKE_SCALE,
-                          seed=0, **kwargs)
-        flat = run_cell("cifar10", "fedavg", "label_skew_20", SMOKE_SCALE,
-                        seed=0, fl_options=kwargs)
-        legacy_d, flat_d = legacy.history.as_dict(), flat.history.as_dict()
-        assert legacy_d["accuracy"] == flat_d["accuracy"]
-        assert legacy_d["cumulative_mb"] == flat_d["cumulative_mb"]
-        assert flat.algorithm.codec.frac == 0.2
-
     def test_run_cell_rejects_unknown_kwargs(self):
         with pytest.raises(TypeError, match="fl_options"):
             run_cell("cifar10", "fedavg", "label_skew_20", SMOKE_SCALE,
