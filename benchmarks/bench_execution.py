@@ -1,17 +1,21 @@
 """Execution-backend benchmark: equivalence and wall-clock of serial vs
-thread vs process client execution.
+vector vs process client execution.
 
 Unlike the table/figure benches this one measures the *simulator*, not the
-paper: it runs the same FedClust and IFCA cells under every backend, checks
-the histories are bit-for-bit identical, and records the wall-clock of each
-backend (plus the per-round timing now embedded in ``History``).
+paper: it runs the same FedClust, IFCA and Per-FedAvg cells under every
+backend, checks the histories are bit-for-bit identical, and records the
+best-of-5 wall-clock of each backend (plus the per-round timing now
+embedded in ``History``).
 
 Speedups are hardware-dependent: on a single-core container the process
 backend can only add overhead (the artifact still records it honestly);
 on an N-core machine the client-update and evaluation fan-out approaches
-``min(workers, clients_per_round)``-way parallelism.  Run with more cores:
+``min(workers, clients_per_round)``-way parallelism.  The pool gets one
+worker per core (up to 4); give each worker one BLAS thread, or the
+workers' BLAS pools oversubscribe the cores:
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_execution.py -q
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python -m pytest benchmarks/bench_execution.py -q
 
 The ``vector`` backend is different: it needs no extra cores — it stacks
 same-shape client models and replaces the per-client Python loop with
@@ -37,11 +41,17 @@ from _bench_util import calibration_seconds, write_bench_json
 from conftest import run_once
 from repro.experiments import BENCH_SCALE
 from repro.experiments.runner import run_cell
+from repro.fl.execution import resolve_workers
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-CELLS = [("cifar10", "fedclust"), ("cifar10", "ifca")]
-WORKERS = 4
+#: fedclust is batched by ``vector``; ifca and perfedavg override the
+#: client hooks, so ``vector`` runs them on the serial loop and only the
+#: process pool can speed them up
+CELLS = [("cifar10", "fedclust"), ("cifar10", "ifca"), ("cifar10", "perfedavg")]
+WORKERS = resolve_workers(0)
+BACKENDS = ["serial", "vector"] + (["process"] if HAS_FORK else [])
+REPS = 5
 
 #: cells for the vector-backend speedup row: methods whose client loop is
 #: the default recipe, so the CohortRunner actually batches (ifca's
@@ -60,17 +70,18 @@ def _time_cell(dataset: str, method: str, backend: str):
 
 
 def test_backend_equivalence_and_timing(benchmark, save_artifact):
-    backends = ["serial", "thread"] + (["process"] if HAS_FORK else [])
-
     def measure():
         rows = []
         for dataset, method in CELLS:
-            timings, histories = {}, {}
-            for backend in backends:
-                timings[backend], res = _time_cell(dataset, method, backend)
-                histories[backend] = res.history
+            timings = {b: float("inf") for b in BACKENDS}
+            histories = {}
+            for _ in range(REPS):
+                for backend in BACKENDS:
+                    t, res = _time_cell(dataset, method, backend)
+                    timings[backend] = min(timings[backend], t)
+                    histories[backend] = res.history
             base = histories["serial"]
-            for backend in backends[1:]:
+            for backend in BACKENDS[1:]:
                 np.testing.assert_array_equal(
                     base.accuracies, histories[backend].accuracies
                 )
@@ -83,28 +94,28 @@ def test_backend_equivalence_and_timing(benchmark, save_artifact):
     rows = run_once(benchmark, measure)
 
     lines = [
-        "Execution backends — identical results, wall-clock per backend",
-        f"(workers={WORKERS}, cpu_count={os.cpu_count()}; speedups need >1 core)",
+        f"Execution backends — identical results, best-of-{REPS} wall-clock per backend",
+        f"(workers={WORKERS}, cpu_count={os.cpu_count()}, "
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}; "
+        "process speedups need >1 core)",
         "",
-        f"{'cell':24s}" + "".join(f"{b:>10s}" for b in ["serial", "thread", "process"]),
+        f"{'cell':24s}" + "".join(f"{b:>10s}" for b in BACKENDS),
     ]
     for dataset, method, timings in rows:
-        cells = "".join(
-            f"{timings[b]:>9.2f}s" if b in timings else f"{'n/a':>10s}"
-            for b in ["serial", "thread", "process"]
-        )
+        cells = "".join(f"{timings[b]:>9.2f}s" for b in BACKENDS)
         lines.append(f"{dataset + '/' + method:24s}" + cells)
-        if "process" in timings:
-            lines.append(
-                f"{'':24s}  process speedup over serial: "
-                f"{timings['serial'] / timings['process']:.2f}x"
-            )
+        speedups = ", ".join(
+            f"{b} {timings['serial'] / timings[b]:.2f}x" for b in BACKENDS[1:]
+        )
+        lines.append(f"{'':24s}  speedup over serial: {speedups}")
     save_artifact("execution_backends", "\n".join(lines))
     write_bench_json(
         {
             "bench": "execution",
             "workers": WORKERS,
+            "reps": REPS,
             "cpu_count": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "rows": {
                 f"{dataset}/{method}": {b: round(t, 4) for b, t in timings.items()}
                 for dataset, method, timings in rows

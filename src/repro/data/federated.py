@@ -227,10 +227,10 @@ class LazyFederatedDataset(FederatedDataset):
     containers are distinct components, not bitwise aliases; pinned
     goldens all use the eager builder.
 
-    Thread-safe (the thread backend's workers share the cache under one
-    lock); pickling drops the cache and lock — residency is derivable,
-    not state (a checkpoint records resident *ids* separately so a
-    resume can re-warm the working set, see
+    Thread-safe (one lock guards the cache, so concurrent callers in one
+    process may share it); pickling drops the cache and lock — residency
+    is derivable, not state (a checkpoint records resident *ids*
+    separately so a resume can re-warm the working set, see
     :mod:`repro.fl.checkpoint`).
     """
 

@@ -30,7 +30,6 @@ from repro.fl.execution import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.fl.network import (
@@ -121,7 +120,6 @@ __all__ = [
     "make_scheduler",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "make_backend",

@@ -40,8 +40,8 @@ component family's registry-resolved implementation + options (so env
 ``REPRO_*`` influence is captured, not just the config object).  Resume
 refuses a mismatched fingerprint with a :class:`ValueError` naming every
 differing field.  The execution backend is deliberately *excluded*: all
-backends are bit-for-bit equivalent, so a run crashed under ``thread``
-may resume under ``serial``.  ``checkpoint_every`` / ``checkpoint_dir``
+backends are bit-for-bit equivalent, so a run crashed under ``process``
+may resume under ``vector``.  ``checkpoint_every`` / ``checkpoint_dir``
 are excluded too — the save cadence must not pin the resumed run's.
 """
 
@@ -299,7 +299,7 @@ def capture(algo: "FederatedAlgorithm", scheduler_state: dict) -> Checkpoint:
     """
     state = {
         "algorithm": algo.checkpoint_state(),
-        "model": {k: v.copy() for k, v in algo._model.state().items()},
+        "model": {k: v.copy() for k, v in algo.model.state().items()},
         "history": algo.history.state_dict(),
         "comm": algo.comm.state_dict(),
         "codec": algo.codec.state_dict(),
@@ -346,7 +346,7 @@ def restore(algo: "FederatedAlgorithm", ckpt: Checkpoint) -> dict:
     )
     algo.load_checkpoint_state(state["algorithm"])
     if state["model"]:
-        algo._model.load_state(state["model"])
+        algo.model.load_state(state["model"])
     algo.history.load_state_dict(state["history"])
     algo.comm.load_state_dict(state["comm"])
     algo.codec.load_state_dict(state["codec"])

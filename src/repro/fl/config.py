@@ -40,12 +40,12 @@ class FLConfig:
     #: still pays the download; the upload never happens.
     dropout_rate: float = 0.0
     #: client-execution backend (:mod:`repro.fl.execution`): ``"serial"``,
-    #: ``"thread"``, ``"process"``, ``"auto"`` (resolve from the
+    #: ``"process"``, ``"vector"``, ``"auto"`` (resolve from the
     #: ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment, defaulting to
-    #: serial), or an inline spec (``"thread:workers=4"``).  All backends
+    #: serial), or an inline spec (``"process:workers=4"``).  All backends
     #: are bit-for-bit equivalent.
     backend: str = "auto"
-    #: worker-pool size for the thread/process backends; 0 picks a
+    #: worker-pool size for the process backend; 0 picks a
     #: machine-dependent default (``min(4, cpu_count)``)
     workers: int = 0
     #: upload codec (:mod:`repro.fl.codecs`): ``"none"``, ``"fp16"``,

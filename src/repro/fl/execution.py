@@ -2,15 +2,16 @@
 
 The engine (:class:`repro.fl.server.FederatedAlgorithm`) simulates every
 selected client per round.  How those per-client tasks *execute* — serially,
-on a thread pool, or on a pool of forked worker processes — is the concern of
-this module, selected via :attr:`repro.fl.config.FLConfig.backend` and
+as one batched cohort, or on a pool of forked worker processes — is the
+concern of this module, selected via
+:attr:`repro.fl.config.FLConfig.backend` and
 :attr:`~repro.fl.config.FLConfig.workers` (or the ``REPRO_BACKEND`` /
 ``REPRO_WORKERS`` environment variables when ``backend="auto"``).
 
 Bit-for-bit reproducibility contract
 ------------------------------------
 
-All backends (serial/thread/process/vector) produce identical results
+All backends (serial/process/vector) produce identical results
 (histories, communication bills, cluster assignments) because
 client-side work is written as a pure function of
 ``(server state, client id, round index)``:
@@ -33,14 +34,6 @@ Backends
     The default: runs tasks in a plain loop on the caller's thread, on the
     engine's shared work model — the exact seed behaviour.
 
-``ThreadBackend``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Each
-    worker thread lazily builds its own work-model replica (see
-    ``FederatedAlgorithm.model``), so tasks never share mutable buffers.
-    NumPy releases the GIL only inside large kernels; at the small model
-    sizes of the CPU benches this backend mostly demonstrates the seam
-    rather than a speedup.
-
 ``CohortRunner`` (``backend="vector"``)
     No pool at all: same-shape client tasks are stacked along a leading
     cohort axis and executed as *one* batched tensor program through the
@@ -59,8 +52,8 @@ Backends
     server state a client task reads (global/cluster parameter vectors,
     control variates, …) is declared per algorithm via
     ``FederatedAlgorithm.exec_state_attrs`` and shipped to workers before
-    every dispatch.  This is the backend that turns wall-clock speedups on
-    multi-core hardware.
+    every dispatch.  On multi-core hardware it wins on the methods whose
+    client hooks ``vector`` cannot batch (IFCA, Per-FedAvg).
 
 Process backend and lazy shards
 -------------------------------
@@ -77,7 +70,7 @@ resident set stays bounded by its task chunk plus the LRU cap —
 asserted by ``tests/test_topology.py``).
 
 One limitation stands: **population joins still require a shared-memory
-backend** (serial/thread).  Workers fork before any joiner attaches, so
+backend** (serial/vector).  Workers fork before any joiner attaches, so
 a mid-run ``attach`` would grow the roster in the parent only; the
 engine rejects the combination at ``run()`` rather than diverge
 (:class:`repro.fl.server.FederatedAlgorithm` raises on
@@ -91,7 +84,6 @@ import os
 import threading
 import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -109,7 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "CohortRunner",
     "ClientTrainSpec",
@@ -128,14 +119,14 @@ __all__ = [
 VECTOR_ACC_ATOL = 0.05
 
 
-#: worker-pool size knob, shared by the thread/process backends and
-#: declared once for the whole family (``REPRO_WORKERS`` only fills a
-#: zero/unset value, and only when the backend resolved through "auto")
+#: worker-pool size knob of the process backend, declared once for the
+#: whole family (``REPRO_WORKERS`` only fills a zero/unset value, and
+#: only when the backend resolved through "auto")
 registry.family_options("backend", [
     opt("workers", int, 0,
         low=0, env="REPRO_WORKERS", cli="workers", field="workers",
-        only_for=("thread", "process"), env_mode="auto_fill",
-        help="worker-pool size for thread/process backends "
+        only_for=("process",), env_mode="auto_fill",
+        help="worker-pool size for the process backend "
              "(0 picks min(4, cpu_count))"),
 ])
 
@@ -250,37 +241,6 @@ class SerialBackend(ExecutionBackend):
         return [fn(*args) for args in argslist]
 
 
-@register("backend", "thread")
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution with per-thread work-model replicas."""
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None):
-        self.workers = resolve_workers(workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map(self, algorithm, method, argslist):
-        if not argslist:
-            return []
-        fn = getattr(algorithm, method)
-        if len(argslist) == 1 or self.workers == 1:
-            return [fn(*args) for args in argslist]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            )
-        return list(self._pool.map(lambda args: fn(*args), argslist))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadBackend(workers={self.workers})"
-
-
 #: Handoff slot read by forked pool workers at fork time (the child keeps a
 #: copy-on-write reference to the whole algorithm, datasets included).
 #: Guarded by ``_FORK_LOCK`` so concurrent runs in one process cannot fork
@@ -317,11 +277,14 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, workers: int | None = None):
         self.workers = resolve_workers(workers)
         self._pool = None
-        self._algo_id: int | None = None
+        self._algo_ref: weakref.ref | None = None
 
     def _ensure_pool(self, algorithm: "FederatedAlgorithm") -> None:
         if self._pool is not None:
-            if self._algo_id != id(algorithm):
+            # A weak reference, not id(): a collected algorithm's id can be
+            # reused by the next run, whose tasks would then execute on
+            # workers forked around the old algorithm.
+            if self._algo_ref() is not algorithm:
                 raise RuntimeError(
                     "a ProcessBackend instance serves one algorithm run; "
                     "create a fresh backend for a new run"
@@ -330,7 +293,7 @@ class ProcessBackend(ExecutionBackend):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "ProcessBackend requires the 'fork' start method "
-                "(Linux/macOS); use backend='thread' or 'serial' instead"
+                "(Linux/macOS); use backend='serial' or 'vector' instead"
             )
         global _FORK_ALGORITHM
         ctx = multiprocessing.get_context("fork")
@@ -340,7 +303,7 @@ class ProcessBackend(ExecutionBackend):
                 self._pool = ctx.Pool(processes=self.workers)
             finally:
                 _FORK_ALGORITHM = None
-        self._algo_id = id(algorithm)
+        self._algo_ref = weakref.ref(algorithm)
 
     def map(self, algorithm, method, argslist):
         if not argslist:
@@ -367,7 +330,7 @@ class ProcessBackend(ExecutionBackend):
             self._pool.close()
             self._pool.join()
             self._pool = None
-            self._algo_id = None
+            self._algo_ref = None
 
     def __del__(self):  # pragma: no cover - safety net
         if getattr(self, "_pool", None) is not None:
@@ -421,9 +384,9 @@ class ClientEvalSpec:
 class CohortRunner(ExecutionBackend):
     """Cohort-batched execution: one stacked tensor program per round.
 
-    Instead of distributing the per-client Python loops (thread/process),
-    this backend removes them: all same-shape tasks of a dispatch are
-    stacked along a leading *cohort axis* and executed as one batched
+    Instead of distributing the per-client Python loops (the process
+    pool), this backend removes them: all same-shape tasks of a dispatch
+    are stacked along a leading *cohort axis* and executed as one batched
     forward/backward/update per step through the ``nn`` layers'
     ``forward_many``/``backward_many`` kernels and :class:`CohortSGD` —
     the throughput lever on a single core, where pools cannot help.
@@ -451,10 +414,7 @@ class CohortRunner(ExecutionBackend):
     #: cap on cached cohort models (distinct cohort sizes live per run)
     _COHORT_CACHE_MAX = 8
 
-    def __init__(self, workers: int | None = None):
-        # ``workers`` is the backend family's shared knob; this backend
-        # has no pool and accepts it only for constructor uniformity.
-        del workers
+    def __init__(self):
         self._algo_ref: weakref.ref | None = None
         self._cohorts: dict[int, CohortModel] = {}
         self._probe: tuple[bool, bool] | None = None
@@ -645,7 +605,7 @@ def make_backend(
             ``backend`` / ``workers`` knobs (optional).
         backend: explicit backend spec overriding the config — a
             registered name, ``"auto"``, or an inline spec like
-            ``"thread:workers=4"``.
+            ``"process:workers=4"``.
         workers: explicit worker count overriding the config (``0``/``None``
             picks a machine-dependent default).
 
@@ -661,6 +621,6 @@ def make_backend(
     r = registry.resolve(
         "backend", spec=backend, config=config, overrides={"workers": workers}
     )
-    if r.impl.cls is SerialBackend:
-        return SerialBackend()
-    return r.impl.cls(workers=r.options["workers"])
+    if r.impl.cls is ProcessBackend:
+        return ProcessBackend(workers=r.options["workers"])
+    return r.impl.cls()

@@ -222,10 +222,10 @@ _declare(
     prefix=None,
     module="repro.fl.execution",
     doc=(
-        "how the per-round client sweep executes; serial/thread/process "
+        "how the per-round client sweep executes; serial/process "
         "and vector (cohort-batched kernels) are bit-for-bit identical"
     ),
-    example="thread:workers=4",
+    example="process:workers=4",
 )
 _declare(
     name="codec",

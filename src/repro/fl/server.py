@@ -23,17 +23,17 @@ one-shot clustering happens there); training rounds are 1..T.
 Execution contract
 ------------------
 
-Per-client work (``client_update`` / ``evaluate_client``) may run on a
-thread or process pool (:mod:`repro.fl.execution`), so it must be a pure
-function of ``(server state, client id, round index)``:
+Per-client work (``client_update`` / ``evaluate_client``) may run as one
+batched cohort or on a process pool (:mod:`repro.fl.execution`), so it must
+be a pure function of ``(server state, client id, round index)``:
 
 * read server state freely, but never write it — fold results into the
   server only inside ``aggregate``, which always runs on the main thread
   after all of a round's client tasks complete;
 * draw randomness only from ``self.rngs.make(name, index)`` with a
   client/round-specific key, never from a shared sequential generator;
-* scratch through ``self.model``, which resolves to a per-worker replica
-  off the main thread.
+* scratch through ``self.model``, the one work model (a forked process
+  worker holds its own private copy).
 
 Algorithms whose client tasks read *mutable* server attributes (global
 parameter vectors, cluster models, control variates, …) declare them in
@@ -43,7 +43,6 @@ each dispatch.
 
 from __future__ import annotations
 
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace as dataclass_replace
@@ -165,13 +164,11 @@ class FederatedAlgorithm(ABC):
         self.model_fn = model_fn
         self.rngs = RngFactory(seed)
         self.seed = seed
-        # one reusable work model per executing thread: all parameter
-        # movement goes through flat vectors, so a single instance serves
-        # every client/cluster (see the ``model`` property)
-        self._model: Sequential = model_fn(self.rngs.make("model_init"))
-        self._model_replicas = threading.local()
-        self._owner_thread = threading.get_ident()
-        self.model_bytes = param_nbytes(self._model)
+        #: the one reusable scratch work model: all parameter movement
+        #: goes through flat vectors, so a single instance serves every
+        #: client/cluster
+        self.model: Sequential = model_fn(self.rngs.make("model_init"))
+        self.model_bytes = param_nbytes(self.model)
         self.comm = CommTracker()
         self.history = History(self.name, fed.name)
         self._backend: ExecutionBackend | None = None
@@ -219,24 +216,6 @@ class FederatedAlgorithm(ABC):
         #: ``run`` from the config; the shared flat pass-through until
         #: then, so hooks called outside ``run`` keep the seed data path
         self.topology: Topology = FLAT_TOPOLOGY
-
-    @property
-    def model(self) -> Sequential:
-        """The calling thread's scratch work model.
-
-        The main thread gets the engine's primary instance (the seed
-        behaviour); worker threads lazily build their own replica from the
-        same ``model_init`` generator so concurrent client tasks never share
-        mutable layer buffers.  Forked worker processes inherit the primary
-        instance as a private copy.
-        """
-        if threading.get_ident() == self._owner_thread:
-            return self._model
-        replica = getattr(self._model_replicas, "model", None)
-        if replica is None:
-            replica = self.model_fn(self.rngs.make("model_init"))
-            self._model_replicas.model = replica
-        return replica
 
     # ------------------------------------------------------------------
     # hooks
@@ -516,7 +495,7 @@ class FederatedAlgorithm(ABC):
     #: captured automatically.
     _ENGINE_STATE_ATTRS = frozenset({
         "fed", "config", "model_fn", "rngs", "seed",
-        "_model", "_model_replicas", "_owner_thread", "model_bytes",
+        "model", "model_bytes",
         "comm", "history", "_backend",
         "codec", "network", "scheduler", "population",
         "_eligible", "_ran",
@@ -663,7 +642,7 @@ class FederatedAlgorithm(ABC):
             self._backend = None
             raise RuntimeError(
                 "population joins need a shared-memory backend "
-                "(serial/thread): process workers fork the dataset before "
+                "(serial/vector): process workers fork the dataset before "
                 "any joiner attaches"
             )
         self.codec = make_codec(cfg)
@@ -677,7 +656,7 @@ class FederatedAlgorithm(ABC):
             # itself and runs the exact serial loop for such models.
             stateful = [
                 repr(layer)
-                for layer in self._model.layers
+                for layer in self.model.layers
                 if isinstance(getattr(layer, "rng", None), np.random.Generator)
             ]
             if stateful:

@@ -21,7 +21,7 @@ from repro.nn.layers import (
 from repro.nn.losses import accuracy, softmax_cross_entropy
 from repro.nn.model import Residual, Sequential
 from repro.nn.models import MODEL_BUILDERS, build_model, lenet5, mlp, resnet9, vgg_mini
-from repro.nn.optim import SGD, Adam, cosine_schedule, step_decay
+from repro.nn.optim import SGD
 from repro.nn.parameter import Parameter
 from repro.nn.serialization import (
     clone_model_params,
@@ -50,9 +50,6 @@ __all__ = [
     "Sequential",
     "Parameter",
     "SGD",
-    "Adam",
-    "step_decay",
-    "cosine_schedule",
     "softmax_cross_entropy",
     "accuracy",
     "mlp",

@@ -15,6 +15,8 @@ unreliability); this file covers the byzantine half.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,8 @@ from repro.fl.config import FLConfig
 from repro.fl.server import ClientUpdate
 from repro.nn.models import mlp
 from repro.utils.rng import RngFactory
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def fresh_fed(num_clients: int = 8, n_samples: int = 400):
@@ -398,14 +402,15 @@ class TestEngineIntegration:
             )
             assert np.isfinite(history.accuracies).all()
 
+    @pytest.mark.skipif(not HAS_FORK, reason="process backend needs fork")
     def test_attack_identical_across_backends(self):
         opts = dict(attack="signflip:frac=0.25", aggregator="median")
         serial_h, serial_a = run_one(fresh_fed(), **opts)
-        thread_h, thread_a = run_one(
-            fresh_fed(), backend="thread", workers=3, **opts
+        proc_h, proc_a = run_one(
+            fresh_fed(), backend="process", workers=3, **opts
         )
-        assert canonical_history(thread_h) == canonical_history(serial_h)
-        assert params_digest(thread_a) == params_digest(serial_a)
+        assert canonical_history(proc_h) == canonical_history(serial_h)
+        assert params_digest(proc_a) == params_digest(serial_a)
 
     def test_attack_identical_across_schedulers_roster(self):
         """All schedulers draw the same adversaries (assignment precedes

@@ -198,8 +198,9 @@ class TestResumeEquivalence:
         "fedclust-growth": (
             "fedclust", {"scheduler": "sync", "population": "growth"},
         ),
+        # named like the golden case; resumes under the vector backend
         "scaffold-thread": (
-            "scaffold", {"scheduler": "sync", "backend": "thread"},
+            "scaffold", {"scheduler": "sync", "backend": "vector"},
         ),
         "fedclust-scale-trimmed": (
             "fedclust",
@@ -244,12 +245,22 @@ class TestResumeEquivalence:
 
     def test_cross_backend_resume(self, tmp_path):
         """All backends are bit-for-bit equivalent, so a checkpoint from a
-        serial run legally resumes under the thread backend (and back)."""
+        serial run legally resumes under the vector backend, and that
+        run's later checkpoints resume under serial again."""
         base = _baseline(fl_options={"scheduler": "sync"})
-        algo, saved = _checkpointed_cell(tmp_path, {"backend": "serial"})
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "vector").mkdir()
+        algo, saved = _checkpointed_cell(
+            tmp_path / "serial", {"backend": "serial"}
+        )
         algo.run()
-        resumed = _cell({"rounds": ROUNDS}, {"backend": "thread"})
-        history = resumed.run(resume_from=str(saved[2]))
+        vector, vector_saved = _checkpointed_cell(
+            tmp_path / "vector", {"backend": "vector"}
+        )
+        history = vector.run(resume_from=str(saved[2]))
+        assert canonical_history(history) == base
+        resumed = _cell({"rounds": ROUNDS}, {"backend": "serial"})
+        history = resumed.run(resume_from=str(vector_saved[3]))
         assert canonical_history(history) == base
 
     def test_resume_from_final_checkpoint_is_complete_history(self, tmp_path):

@@ -33,7 +33,7 @@ from repro.nn.models import mlp
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-ALL_BACKEND_CFGS = [("serial", 0), ("thread", 3)] + (
+ALL_BACKEND_CFGS = [("serial", 0), ("vector", 0)] + (
     [("process", 3)] if HAS_FORK else []
 )
 
@@ -394,7 +394,7 @@ class TestEngineIntegration:
         self, fed, method, codec, extra
     ):
         """The wire layer runs on the main thread: enabling a codec keeps
-        serial/thread/process histories and comm bills bit-identical."""
+        serial/process/vector histories and comm bills bit-identical."""
         baseline_h, baseline_a = run_one(
             fed, method, "serial", 0, extra=extra, codec=codec
         )

@@ -585,7 +585,7 @@ class TestUnitBinding:
         )
         algo.run()
         resumed = resume_cell(tmp_path / "round-000001.ckpt").algorithm
-        _assert_unit_bound(resumed._model)
+        _assert_unit_bound(resumed.model)
 
     def test_cohort_bound_template_does_not_alias(self):
         template = build_model("resnet9", 5, (3, 8, 8), rng=0)

@@ -1,4 +1,4 @@
-"""Execution backends: serial / thread / process equivalence and plumbing.
+"""Execution backends: serial / process / vector equivalence and plumbing.
 
 The engine's promise (see ``docs/architecture.md``) is that the execution
 backend changes *wall-clock only*: histories, communication bills, and
@@ -27,7 +27,6 @@ from repro.fl.execution import (
     CohortRunner,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     _split_chunks,
     make_backend,
     resolve_workers,
@@ -38,7 +37,7 @@ from repro.utils.io import load_history, save_history
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="process backend needs fork")
 
-ALL_BACKEND_CFGS = [("serial", 0), ("thread", 3)] + (
+ALL_BACKEND_CFGS = [("serial", 0), ("vector", 0)] + (
     [("process", 3)] if HAS_FORK else []
 )
 
@@ -69,7 +68,7 @@ def run_one(fed, method: str, backend: str, workers: int, **extra):
 
 
 class TestBackendEquivalence:
-    """Serial, thread, and process runs must be indistinguishable."""
+    """Serial, process and vector runs must be indistinguishable."""
 
     @pytest.mark.parametrize("method,extra", [
         ("fedclust", {"lam": "auto"}),
@@ -134,27 +133,30 @@ class TestRoundTiming:
 
 class TestBackendPlumbing:
     def test_registry_and_factory(self):
-        assert set(BACKENDS) == {"serial", "thread", "process", "vector"}
+        assert set(BACKENDS) == {"serial", "process", "vector"}
         assert isinstance(make_backend(backend="serial"), SerialBackend)
-        assert isinstance(make_backend(backend="thread", workers=2), ThreadBackend)
         b = make_backend(backend="process", workers=5)
         assert isinstance(b, ProcessBackend) and b.workers == 5
         assert isinstance(make_backend(backend="vector"), CohortRunner)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            make_backend(backend="cluster")
+        # "thread" named a deleted thread-pool backend
+        for spec in ("cluster", "thread"):
+            with pytest.raises(ValueError, match="unknown execution backend") as e:
+                make_backend(backend=spec)
+            for name in ("serial", "process", "vector"):
+                assert name in str(e.value)
 
     def test_auto_resolves_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "7")
         b = make_backend(backend="auto")
-        assert isinstance(b, ThreadBackend) and b.workers == 7
+        assert isinstance(b, ProcessBackend) and b.workers == 7
         monkeypatch.delenv("REPRO_BACKEND")
         assert isinstance(make_backend(backend="auto"), SerialBackend)
 
     def test_auto_rejects_bad_worker_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             make_backend(backend="auto")
@@ -181,7 +183,10 @@ class TestBackendPlumbing:
         cfg = FLConfig(rounds=1, sample_rate=1.0, local_epochs=1, lr=0.05)
         algo = build_algorithm("fedavg", fed, model_fn_for(fed), cfg, seed=0)
         algo.setup()
-        for backend in (SerialBackend(), ThreadBackend(workers=3)):
+        backends = [SerialBackend(), CohortRunner()] + (
+            [ProcessBackend(workers=3)] if HAS_FORK else []
+        )
+        for backend in backends:
             updates = backend.run_updates(algo, 1, [3, 0, 5])
             assert [u.client_id for u in updates] == [3, 0, 5]
             backend.close()
@@ -232,6 +237,28 @@ class TestProcessBackendGuards:
         finally:
             backend.close()
 
+    def test_pool_guard_survives_id_reuse(self, fed, monkeypatch):
+        """The one-run guard must hold even when a second algorithm
+        shares the first's ``id()`` (CPython reuses a collected
+        object's id): its tasks would otherwise run on workers forked
+        around the first algorithm."""
+        import repro.fl.execution as exec_mod
+
+        cfg = FLConfig(rounds=1, sample_rate=1.0, local_epochs=1, lr=0.05)
+        a1 = build_algorithm("fedavg", fed, model_fn_for(fed), cfg, seed=0)
+        a2 = build_algorithm("fedavg", fed, model_fn_for(fed), cfg, seed=1)
+        a1.setup()
+        a2.setup()
+        # every object looks alike to id(): the worst case of id reuse
+        monkeypatch.setattr(exec_mod, "id", lambda obj: 0, raising=False)
+        backend = ProcessBackend(workers=2)
+        try:
+            backend.run_updates(a1, 1, [0, 1])
+            with pytest.raises(RuntimeError, match="one algorithm run"):
+                backend.run_updates(a2, 1, [0, 1])
+        finally:
+            backend.close()
+
     def test_process_results_ordered(self, fed):
         cfg = FLConfig(rounds=1, sample_rate=1.0, local_epochs=1, lr=0.05)
         algo = build_algorithm("fedavg", fed, model_fn_for(fed), cfg, seed=0)
@@ -265,7 +292,7 @@ class TestStatefulRngGuard:
             )
 
         cfg = FLConfig(rounds=1, sample_rate=1.0, local_epochs=1, lr=0.05,
-                       backend="thread", workers=2)
+                       backend="process", workers=2)
         algo = build_algorithm("fedavg", fed, model_fn, cfg, seed=0)
         with pytest.raises(RuntimeError, match="own RNG state"):
             algo.run()
@@ -287,6 +314,7 @@ class TestIfcaAssignmentRefresh:
 
 
 class TestCliEnvHygiene:
+    @needs_fork
     def test_backend_flag_does_not_leak_env(self, monkeypatch):
         from repro.experiments.__main__ import main
 
@@ -295,7 +323,7 @@ class TestCliEnvHygiene:
         import os
 
         assert main(["figure1", "--scale", "smoke",
-                     "--backend", "thread", "--workers", "2"]) == 0
+                     "--backend", "process", "--workers", "2"]) == 0
         assert "REPRO_BACKEND" not in os.environ
         assert "REPRO_WORKERS" not in os.environ
 
@@ -452,10 +480,11 @@ class TestRunGuards:
         with pytest.raises(RuntimeError, match="once"):
             algo.run()
 
+    @needs_fork
     def test_backend_closed_after_run(self, fed):
         cfg = FLConfig(
             rounds=1, sample_rate=1.0, local_epochs=1, lr=0.05,
-            backend="thread", workers=2,
+            backend="process", workers=2,
         )
         algo = build_algorithm("fedavg", fed, model_fn_for(fed), cfg, seed=0)
         algo.run()

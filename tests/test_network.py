@@ -8,6 +8,8 @@ seconds, per-span byte counts, and the ids a deadline cut.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from repro.fl.network import (
 from repro.nn.models import mlp
 from repro.utils.io import load_history, save_history
 from repro.utils.rng import RngFactory
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -161,16 +165,17 @@ class TestDeadline:
         assert (h.sim_seconds > 0.0).all()
         assert h.total_sim_seconds() == pytest.approx(float(h.sim_seconds.sum()))
 
+    @pytest.mark.skipif(not HAS_FORK, reason="process backend needs fork")
     def test_deadline_keeps_backends_equivalent(self, fed):
         base_h, _ = run_one(fed, network="stragglers", deadline=5.0, codec="int8")
-        thread_h, _ = run_one(
+        proc_h, _ = run_one(
             fed, network="stragglers", deadline=5.0, codec="int8",
-            backend="thread", workers=3,
+            backend="process", workers=3,
         )
-        np.testing.assert_array_equal(base_h.accuracies, thread_h.accuracies)
-        np.testing.assert_array_equal(base_h.cumulative_mb, thread_h.cumulative_mb)
-        assert base_h.deadline_dropped() == thread_h.deadline_dropped()
-        np.testing.assert_array_equal(base_h.sim_seconds, thread_h.sim_seconds)
+        np.testing.assert_array_equal(base_h.accuracies, proc_h.accuracies)
+        np.testing.assert_array_equal(base_h.cumulative_mb, proc_h.cumulative_mb)
+        assert base_h.deadline_dropped() == proc_h.deadline_dropped()
+        np.testing.assert_array_equal(base_h.sim_seconds, proc_h.sim_seconds)
 
 
 class TestAvailability:

@@ -375,6 +375,22 @@ class TestGrowth:
         assert "cluster" not in h.population_events("join")[0]
         assert algo.fed.num_clients == 10
 
+    def test_joins_on_vector_match_serial_bitwise(self):
+        spec = "growth:joiners=2,join_start=1,join_every=1"
+        h_s, a_s = run_one(
+            fresh_fed(8), "fedclust", population=spec, backend="serial"
+        )
+        h_v, a_v = run_one(
+            fresh_fed(8), "fedclust", population=spec, backend="vector"
+        )
+        assert len(h_s.population_events("join")) == 2
+        np.testing.assert_array_equal(h_v.accuracies, h_s.accuracies)
+        np.testing.assert_array_equal(h_v.losses, h_s.losses)
+        np.testing.assert_array_equal(h_v.cumulative_mb, h_s.cumulative_mb)
+        np.testing.assert_array_equal(a_v.cluster_of, a_s.cluster_of)
+        assert h_v.population_events() == h_s.population_events()
+        assert params_digest(a_v) == params_digest(a_s)
+
     @pytest.mark.skipif(not HAS_FORK, reason="no fork start method")
     def test_process_backend_rejects_joins(self):
         fed = fresh_fed(10)

@@ -173,13 +173,13 @@ class TestThreePathAgreement:
         assert via_config.frac == via_env.frac == via_inline.frac == 0.2
 
     def test_workers_three_ways(self, monkeypatch):
-        via_config = make_backend(FLConfig(rounds=1, backend="thread", workers=3))
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        via_config = make_backend(FLConfig(rounds=1, backend="process", workers=3))
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "3")
         via_env = make_backend(FLConfig(rounds=1))
         monkeypatch.delenv("REPRO_BACKEND")
         monkeypatch.delenv("REPRO_WORKERS")
-        via_inline = make_backend(backend="thread:workers=3")
+        via_inline = make_backend(backend="process:workers=3")
         assert via_config.workers == via_env.workers == via_inline.workers == 3
         for b in (via_config, via_env, via_inline):
             b.close()
@@ -283,7 +283,7 @@ class TestSpecStringErrors:
         # impl-scoped option on another impl -> not declared there at all
         with pytest.raises(ValueError, match="unknown option 'bs'"):
             FLConfig(scheduler="sync:bs=4")
-        make_backend(backend="thread:workers=2").close()  # right impl: fine
+        make_backend(backend="process:workers=2").close()  # right impl: fine
 
     def test_population_options_rejected_on_every_other_family(self):
         """Satellite property: `resolve` rejects population options on
@@ -438,7 +438,9 @@ class TestGoldenEquivalence:
     CASES = {
         "fedavg-default": ("fedavg", dict(), dict()),
         "fedclust-default": ("fedclust", dict(), dict(lam="auto")),
-        "scaffold-thread": ("scaffold", dict(backend="thread", workers=3),
+        # the pinned values do not depend on the backend, so the case
+        # keeps the name it was captured under
+        "scaffold-thread": ("scaffold", dict(backend="process", workers=3),
                             dict()),
         "lg-int8-uniform": ("lg", dict(codec="int8", network="uniform"),
                             dict()),

@@ -30,7 +30,7 @@ from repro.utils.io import load_history, save_history
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-ALL_BACKEND_CFGS = [("serial", 0), ("thread", 3)] + (
+ALL_BACKEND_CFGS = [("serial", 0), ("vector", 0)] + (
     [("process", 3)] if HAS_FORK else []
 )
 
